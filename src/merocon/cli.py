@@ -646,9 +646,8 @@ def cmd_sweep(args) -> int:
         except ValueError as exc:
             prepared.append((k, None, f"{type(exc).__name__}: {exc}"))
     cfg = _integrator_config(args, single)
-    workers = int(os.environ.get("MEROCON_THREADS", "1") or "1")
     runnable = [(k, st) for k, st, err in prepared if st is not None]
-    items = batch_sweep(cd, [st for _, st in runnable], cfg, workers=workers)
+    items = batch_sweep(cd, [st for _, st in runnable], cfg, workers=None)
     by_index = {runnable[item.index][0]: item for item in items}
     os.makedirs(args.out_dir, exist_ok=True)
     summary = []

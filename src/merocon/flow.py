@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import bisect
 import cmath
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .algebra import poly_eval
 from .fields import CHART_INF, CHART_ZERO, ConnectionData, ProjPoint
@@ -561,10 +564,14 @@ def detect_self_intersections(
 ) -> list[Event]:
     """Transversal crossings of the projected curve on P^1.
 
-    Polyline search over the sphere embedding with a uniform spatial grid,
-    local planar (gnomonic) crossing solve, tangents from the exact field at
-    interpolated states, enclosed poles by winding numbers in a rotated
-    chart that keeps the loop away from infinity.
+    Polyline search over the sphere embedding: candidate segment pairs come
+    from a grid levelled by segment length (each segment sits in cells just
+    larger than itself, so a spiral's tiny and long segments never share a
+    bucket), followed by a local planar (gnomonic) crossing solve and tangents
+    from the exact field at interpolated states.  The external angle is
+    measured first; only crossings that pass min_angle pay for the enclosed
+    poles, found by winding numbers in a rotated chart that keeps the loop
+    away from infinity.
 
     Crossings with |external angle| below min_angle are discarded: chords of
     a tightening spiral cross even when the curve does not, and genuinely
@@ -574,71 +581,83 @@ def detect_self_intersections(
     if len(samples) < 3:
         return []
     pts = [s.sphere() for s in samples]
-    nseg = len(samples) - 1
-    lengths = [
-        math.dist(pts[i], pts[i + 1]) for i in range(nseg)
-    ]
-    mids = [
-        (
-            0.5 * (pts[i][0] + pts[i + 1][0]),
-            0.5 * (pts[i][1] + pts[i + 1][1]),
-            0.5 * (pts[i][2] + pts[i + 1][2]),
-        )
-        for i in range(nseg)
-    ]
-    # two crossing segments start within 2*maxlen of each other; a cell of
-    # that size keeps their grid indices within one of each other
-    cell = max(max(lengths, default=0.0), 1e-6) * 2.02
-    grid: dict[tuple[int, int, int], list[int]] = {}
-    for i in range(nseg):
-        cx = int(pts[i][0] / cell)
-        cy = int(pts[i][1] / cell)
-        cz = int(pts[i][2] / cell)
-        for dx in (0, 1):
-            for dy in (0, 1):
-                for dz in (0, 1):
-                    grid.setdefault((cx + dx, cy + dy, cz + dz), []).append(i)
-    seen_pairs: set[tuple[int, int]] = set()
+    times = [s.t for s in samples]
     raw: list[tuple[float, float, int, int]] = []
-    for bucket in grid.values():
-        for a_pos in range(len(bucket)):
-            i = bucket[a_pos]
-            mi = mids[i]
-            hi_len = 0.5 * lengths[i]
-            for b_pos in range(a_pos + 1, len(bucket)):
-                j = bucket[b_pos]
-                # crossing needs midpoints within the summed half-lengths
-                mj = mids[j]
-                reach = hi_len + 0.5 * lengths[j]
-                dx = mi[0] - mj[0]
-                dy = mi[1] - mj[1]
-                dz = mi[2] - mj[2]
-                if dx * dx + dy * dy + dz * dz > reach * reach:
-                    continue
-                lo, hi = (i, j) if i < j else (j, i)
-                if hi - lo < 2 or (lo, hi) in seen_pairs:
-                    continue
-                seen_pairs.add((lo, hi))
-                got = _segment_crossing(pts, samples, lo, hi)
-                if got is not None:
-                    raw.append((got[0], got[1], lo, hi))
+    for lo, hi in _reach_pairs(pts):
+        got = _segment_crossing(pts, samples, lo, hi)
+        if got is not None:
+            raw.append((got[0], got[1], lo, hi))
     raw.sort()
+    sphere = np.array(pts)
     events: list[Event] = []
-    spacing = [samples[k + 1].t - samples[k].t for k in range(nseg)]
     for t1, t2, i, j in raw[:max_events]:
-        dup = False
-        gap = 1.5 * max(spacing[i], spacing[j])
-        for prev in events:
-            if abs(prev.t1 - t1) < gap and abs(prev.t2 - t2) < gap:
-                dup = True
-                break
-        if dup:
+        gap = 1.5 * max(times[i + 1] - times[i], times[j + 1] - times[j])
+        if any(abs(prev.t1 - t1) < gap and abs(prev.t2 - t2) < gap for prev in events):
             continue
-        ev = _crossing_event(traj, cd, i, j, t1, t2)
-        if ev is not None and abs(ev.external_angle) >= min_angle:
+        ev = _crossing_event(samples, times, sphere, cd, t1, t2, min_angle)
+        if ev is not None:
             events.append(ev)
     _mark_simple(events)
     return events
+
+
+# odd multipliers that hash a grid cell to one key; the hash is linear modulo
+# 2^64 (unsigned, so it wraps instead of overflowing), so a neighbour's key is
+# the cell's key plus one of 27 fixed offsets
+_CELL_HASH = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 1], dtype=np.uint64)
+_NEIGHBOUR_KEYS = (
+    np.array(list(itertools.product((-1, 0, 1), repeat=3))).astype(np.uint64) @ _CELL_HASH
+)
+
+
+def _reach_pairs(pts: list[tuple[float, float, float]]) -> list[tuple[int, int]]:
+    """Segment pairs (i, j), j >= i + 2, with |m_i - m_j| <= (l_i + l_j) / 2.
+
+    m and l are chord midpoints and lengths; two chords that cross pass this
+    test.  Segment i is bucketed at the level L(i) with 2^L(i) > l_i, keyed
+    by its midpoint's cell of side 2^L(i); each pair is looked up from its
+    shorter segment among the cells at the longer one's level.
+    """
+    p = np.array(pts)
+    mids = 0.5 * (p[:-1] + p[1:])
+    lengths = np.array([math.dist(a, b) for a, b in zip(pts, pts[1:])])
+    n = len(lengths)
+    # the factor keeps 2^L clear of l by more than rounding; the floor keeps
+    # cell indices of degenerate segments inside int64
+    levels = np.frexp(np.maximum(lengths, 1e-15) * (1 + 1e-12))[1]
+    found: set[int] = set()  # lo * n + hi; a hash collision can find a pair twice
+    for level in sorted(set(levels.tolist())):
+        side = 2.0**level
+        owners = np.flatnonzero(levels == level)
+        queries = np.flatnonzero(levels <= level)
+        # No pair is missed: if l_i <= l_j, a passing pair has
+        # |m_i - m_j| <= l_j < 2^L(j), so m_j lies within one cell of m_i at
+        # level L(j) >= L(i).  Owners at L(j) fill their 27 cells; queries
+        # look up their own.  Hash collisions only add candidates.
+        cell_key = np.floor(mids / side).astype(np.int64).astype(np.uint64) @ _CELL_HASH
+        keys = (cell_key[owners, None] + _NEIGHBOUR_KEYS).ravel()
+        order = np.argsort(keys)
+        keys = keys[order]
+        owner_of = np.repeat(owners, 27)[order]
+        own = cell_key[queries]
+        first = np.searchsorted(keys, own, "left")
+        counts = np.searchsorted(keys, own, "right") - first
+        total = int(counts.sum())
+        if not total:
+            continue
+        i = np.repeat(queries, counts)
+        j = owner_of[np.repeat(first - np.cumsum(counts) + counts, counts) + np.arange(total)]
+        # a pair within one level is found from both ends; keep one
+        take = ((levels[i] < level) | (i < j)) & (abs(i - j) >= 2)
+        lo = np.minimum(i, j)[take]
+        hi = np.maximum(i, j)[take]
+        dist2 = 0.0
+        for axis in mids.T:
+            d = axis[lo] - axis[hi]
+            dist2 = dist2 + d * d
+        reach = 0.5 * lengths[lo] + 0.5 * lengths[hi]
+        found.update((lo * n + hi)[~(dist2 > reach * reach)].tolist())
+    return [divmod(c, n) for c in found]
 
 
 def _gnomonic_cross(
@@ -714,6 +733,7 @@ def _state_at(
 
 def _refine_crossing(
     samples: Sequence[ChartState],
+    times: list[float],
     cd: ConnectionData,
     t1: float,
     t2: float,
@@ -724,7 +744,6 @@ def _refine_crossing(
     on the current parameters; the bracket shrinks geometrically, removing
     the O(h^2) sagitta error of the sample polyline.
     """
-    times = [s.t for s in samples]
     k1 = _segment_of(times, t1)
     k2 = _segment_of(times, t2)
     span1 = samples[k1 + 1].t - samples[k1].t
@@ -756,21 +775,31 @@ def _cross(a, b):
 
 
 def _crossing_event(
-    traj: Trajectory, cd: ConnectionData, i: int, j: int, t1: float, t2: float
+    samples: Sequence[ChartState],
+    times: list[float],
+    sphere: np.ndarray,
+    cd: ConnectionData,
+    t1: float,
+    t2: float,
+    min_angle: float,
 ) -> Optional[Event]:
-    samples = traj.samples
-    t1, t2 = _refine_crossing(samples, cd, t1, t2)
+    """The refined crossing, or None when its external angle is below min_angle."""
+    t1, t2 = _refine_crossing(samples, times, cd, t1, t2)
     if t2 < t1:
         t1, t2 = t2, t1
-    s1 = _locate_state(samples, cd, t1)
-    s2 = _locate_state(samples, cd, t2)
+    s1 = _locate_state(samples, cd, t1, times)
+    s2 = _locate_state(samples, cd, t2, times)
     chart = s1.chart
     tan1 = _tangent_in_chart(s1, cd, chart)
     tan2 = _tangent_in_chart(s2, cd, chart)
     if tan1 == 0 or tan2 == 0:
         return None
     angle = _wrap_angle(cmath.phase(tan1 / tan2))
-    enclosed, res_sum, orient, resolved = _enclosed_poles(traj, cd, t1, t2)
+    if not abs(angle) >= min_angle:
+        return None
+    enclosed, res_sum, orient, resolved = _enclosed_poles(
+        sphere[_span(times, t1, t2)], cd
+    )
     residual = None
     if res_sum is not None and resolved:
         # a negatively oriented loop satisfies the identity after reversal,
@@ -791,44 +820,52 @@ def _crossing_event(
     )
 
 
-def _locate_state(samples: Sequence[ChartState], cd: ConnectionData, t: float) -> ChartState:
-    for idx in range(len(samples) - 1):
-        if samples[idx].t <= t <= samples[idx + 1].t:
-            return _segment_state(samples, idx, cd, t)
-    return samples[-1]
+def _locate_state(
+    samples: Sequence[ChartState],
+    cd: ConnectionData,
+    t: float,
+    times: Optional[list[float]] = None,
+) -> ChartState:
+    """Interpolated state at t; the last sample when t is outside the samples."""
+    if times is None:
+        times = [s.t for s in samples]
+    if len(times) < 2 or not times[0] <= t <= times[-1]:
+        return samples[-1]
+    # the first segment whose closed time interval holds t
+    return _segment_state(samples, max(0, bisect.bisect_left(times, t) - 1), cd, t)
 
 
-def _loop_points(
-    traj: Trajectory, t1: float, t2: float
-) -> list[tuple[float, float, float]]:
-    pts = [s.sphere() for s in traj.samples if t1 <= s.t <= t2]
-    return pts
+def _span(times: list[float], t1: float, t2: float) -> slice:
+    """The samples with t1 <= t <= t2 (times ascending)."""
+    return slice(bisect.bisect_left(times, t1), bisect.bisect_right(times, t2))
+
+
+def _loop_points(traj: Trajectory, t1: float, t2: float) -> np.ndarray:
+    span = _span(traj.sample_times(), t1, t2)
+    return np.array([s.sphere() for s in traj.samples[span]]).reshape(-1, 3)
 
 
 def _enclosed_poles(
-    traj: Trajectory, cd: ConnectionData, t1: float, t2: float
+    loop: np.ndarray, cd: ConnectionData
 ) -> tuple[tuple[int, ...], Optional[complex], int, bool]:
-    """Winding numbers of the loop around the induced-connection poles.
+    """Winding numbers of a loop of sphere points around the induced-connection poles.
 
     Returns (enclosed indices, residue sum over them, loop orientation,
     resolved flag); orientation is +1 / -1 for a consistently wound simple
     loop and 0 when the windings are mixed or ill-conditioned.
     """
-    loop = _loop_points(traj, t1, t2)
     if len(loop) < 3:
         return (), None, 0, False
-    loop = loop + [loop[0]]
+    loop = np.vstack([loop, loop[:1]])
     poles = [(k, d) for k, d in enumerate(cd.directions) if abs(d.induced_residue) > 1e-12]
-    far = _far_point(loop, [d.point.sphere() for _, d in poles])
-    a = _sphere_to_plane(far)
-    plane_loop = [_rotated_coord(p, a) for p in loop]
-    if any(p is None for p in plane_loop):
+    pole_pts = np.array([d.point.sphere() for _, d in poles]).reshape(-1, 3)
+    a = _sphere_to_plane(_far_point(np.vstack([loop, pole_pts])))
+    plane_loop = _rotated_coords(loop, a)
+    plane_poles = _rotated_coords(pole_pts, a)
+    if plane_loop is None or plane_poles is None:
         return (), None, 0, False
     windings: list[tuple[int, int]] = []
-    for k, d in poles:
-        q = _rotated_coord(d.point.sphere(), a)
-        if q is None:
-            return (), None, 0, False
+    for (k, _), q in zip(poles, plane_poles.tolist()):
         w, ok = _winding(plane_loop, q)
         if not ok:
             return (), None, 0, False
@@ -846,26 +883,25 @@ def _enclosed_poles(
     return enclosed, res_sum, orient, True
 
 
-def _far_point(
-    loop: list[tuple[float, float, float]], poles: list[tuple[float, float, float]]
-) -> tuple[float, float, float]:
+def _fibonacci_sphere(n: int) -> np.ndarray:
     golden = (1 + math.sqrt(5)) / 2
     cands = []
-    n = 40
     for k in range(n):
         zc = 1 - 2 * (k + 0.5) / n
         r = math.sqrt(max(0.0, 1 - zc * zc))
         phi = 2 * math.pi * k / golden
         cands.append((r * math.cos(phi), r * math.sin(phi), zc))
-    best = cands[0]
-    best_d = -1.0
-    avoid = loop + poles
-    for c in cands:
-        d = min(math.dist(c, p) for p in avoid)
-        if d > best_d:
-            best_d = d
-            best = c
-    return best
+    return np.array(cands)
+
+
+_FAR_CANDIDATES = _fibonacci_sphere(40)
+
+
+def _far_point(avoid: np.ndarray) -> tuple[float, float, float]:
+    """The candidate farthest from all (m, 3) sphere points (first on ties)."""
+    # on the unit sphere the nearest point is the one of largest dot product
+    nearest = (_FAR_CANDIDATES @ avoid.T).max(axis=1)
+    return tuple(_FAR_CANDIDATES[int(np.argmin(nearest))].tolist())
 
 
 def _sphere_to_plane(p: tuple[float, float, float]) -> complex:
@@ -875,30 +911,30 @@ def _sphere_to_plane(p: tuple[float, float, float]) -> complex:
     return complex(p[0], p[1]) / (1 - p[2])
 
 
-def _rotated_coord(
-    p: tuple[float, float, float], a: complex
-) -> Optional[complex]:
-    # Moebius rotation sending a to infinity: z -> (conj(a) z + 1) / (a - z)
-    z = _sphere_to_plane(p)
+def _rotated_coords(p: np.ndarray, a: complex) -> Optional[np.ndarray]:
+    """Chart coordinates of (m, 3) sphere points after the Moebius rotation
+    z -> (conj(a) z + 1) / (a - z) that sends a to infinity; None if any
+    point meets a.  The north pole stands in as 1e12, as in _sphere_to_plane.
+    """
+    den = 1 - p[:, 2]
+    north = np.abs(den) < 1e-12
+    den = np.where(north, 1.0, den)
+    z = np.where(north, 1e12, p[:, 0] / den) + 1j * np.where(north, 0.0, p[:, 1] / den)
     den = a - z
-    if abs(den) < 1e-12:
+    if (np.abs(den) < 1e-12).any():
         return None
     return (a.conjugate() * z + 1) / den
 
 
-def _winding(loop: list[complex], q: complex) -> tuple[int, bool]:
-    total = 0.0
-    min_d = math.inf
-    for i in range(len(loop) - 1):
-        d0 = loop[i] - q
-        d1 = loop[i + 1] - q
-        min_d = min(min_d, abs(d0))
-        if d0 == 0 or d1 == 0:
-            return 0, False
-        total += _wrap_angle(cmath.phase(d1 / d0))
-    w = total / (2 * math.pi)
+def _winding(loop: np.ndarray, q: complex) -> tuple[int, bool]:
+    d = loop - q
+    if not d.all():
+        return 0, False
+    turns = np.angle(d[1:] / d[:-1])
+    turns[turns == -math.pi] = math.pi  # _wrap_angle's range (-pi, pi]
+    w = float(turns.sum()) / (2 * math.pi)
     r = round(w)
-    ok = abs(w - r) < 0.25 and min_d > 1e-9
+    ok = abs(w - r) < 0.25 and float(np.abs(d[:-1]).min()) > 1e-9
     return int(r), ok
 
 
@@ -937,7 +973,7 @@ def loop_multiplier(
         raise ValueError("loop endpoints do not coincide within tolerance")
     chart = s1.chart
     m_measured = _tangent_in_chart(s2, cd, chart) / _tangent_in_chart(s1, cd, chart)
-    enclosed, res_sum, orient, _ = _enclosed_poles(traj, cd, t1, t2)
+    enclosed, res_sum, orient, _ = _enclosed_poles(_loop_points(traj, t1, t2), cd)
     if res_sum is None:
         predicted = complex("nan")
     else:
@@ -1070,7 +1106,9 @@ def _accumulation_test(
     residual = None
     if tan0 and tan1:
         angle = _wrap_angle(cmath.phase(tan1 / tan0))
-        enclosed, res_sum, orient, resolved = _enclosed_poles(traj, cd, t_a, t_b)
+        enclosed, res_sum, orient, resolved = _enclosed_poles(
+            _loop_points(traj, t_a, t_b), cd
+        )
         if res_sum is not None and resolved:
             eff = angle if orient >= 0 else -angle
             residual = abs(_wrap_angle(eff - 2 * math.pi * (1 + res_sum.real)))

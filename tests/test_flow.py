@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from merocon.fields import (
@@ -19,6 +20,7 @@ from merocon.flow import (
     batch_sweep,
     chart_transition,
     classify_omega_limit,
+    detect_self_intersections,
     geodesic_rhs,
     integrate,
     lift_nu_polar,
@@ -353,6 +355,76 @@ class TestEvents:
         for r in windows:
             assert -1.5 + 1e-2 < r < -0.5 - 1e-2
             assert abs(r + 1) > 1e-2
+
+
+def reference_crossings(traj, cd, max_events=4000, min_angle=0.02):
+    """detect_self_intersections with the reach test run on every pair.
+
+    Enclosure runs for every crossing, and the angle filter afterwards.
+    """
+    from merocon.flow import _crossing_event, _mark_simple, _segment_crossing
+
+    samples = traj.samples
+    pts = [s.sphere() for s in samples]
+    times = [s.t for s in samples]
+    mids = np.array(
+        [[0.5 * (a + b) for a, b in zip(p, q)] for p, q in zip(pts, pts[1:])]
+    )
+    lengths = np.array([math.dist(p, q) for p, q in zip(pts, pts[1:])])
+    raw = []
+    for i in range(len(lengths) - 2):
+        d = mids[i] - mids[i + 2 :]
+        reach = 0.5 * lengths[i] + 0.5 * lengths[i + 2 :]
+        near = ~(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2] > reach * reach)
+        for j in (np.flatnonzero(near) + i + 2).tolist():
+            got = _segment_crossing(pts, samples, i, j)
+            if got is not None:
+                raw.append((got[0], got[1], i, j))
+    raw.sort()
+    events = []
+    for t1, t2, i, j in raw[:max_events]:
+        gap = 1.5 * max(times[i + 1] - times[i], times[j + 1] - times[j])
+        if any(abs(e.t1 - t1) < gap and abs(e.t2 - t2) < gap for e in events):
+            continue
+        ev = _crossing_event(samples, times, np.array(pts), cd, t1, t2, 0.0)
+        if ev is not None and abs(ev.external_angle) >= min_angle:
+            events.append(ev)
+    _mark_simple(events)
+    return events
+
+
+class TestCrossingSearch:
+    def test_log_spiral_into_pole_matches_all_pairs(self):
+        # a loopy start, then a log spiral into the pole at zeta = 0 whose
+        # chord lengths fall by six decades: the grid's degenerate case
+        cd = model_connection(1, -1 + 0.3j)
+        samples = []
+        for m in range(60 * 7 + 1):
+            s = 2 * math.pi * m / 60
+            e = cmath.exp(complex(-0.3, 1) * s)
+            w = 1.2 * cmath.exp(complex(-0.5, -3) * s)
+            z = e + w
+            dz = complex(-0.3, 1) * e + complex(-0.5, -3) * w
+            samples.append(ChartState(CHART_ZERO, z, dz / z, s))  # X(z) v = dz/ds
+        traj = Trajectory(samples, [], 0.0)
+        pts = [s.sphere() for s in samples]
+        lengths = [math.dist(p, q) for p, q in zip(pts, pts[1:])]
+        assert max(lengths) / min(lengths) > 1e5
+        events = detect_self_intersections(traj, cd)
+        assert len(events) >= 3
+        assert any(e.enclosed for e in events)
+        assert events == reference_crossings(traj, cd)
+
+    def test_figure_three_matches_all_pairs(self):
+        cd = connection_data(THREE_THIRDS)
+        cfg = IntegratorConfig(
+            rel_tol=1e-8, abs_tol=1e-11, t_max=120.0, record_stride=0.05,
+            pole_radius=1e-9, max_steps=800_000, classify=False,
+        )
+        traj = integrate(cd, lift_nu_polar((1j, 1j - 1), 1), cfg)
+        events = detect_self_intersections(traj, cd)
+        assert len(events) >= 25
+        assert events == reference_crossings(traj, cd)
 
 
 class TestOmegaEdges:
