@@ -9,7 +9,7 @@ residue and angle identities, and classifies quadratic fields into their
 eleven linear-conjugacy normal forms.
 """
 
-from .algebra import RatFn, RootFindingError, TruncSeries, poly_roots, ratfn_residue
+from .algebra import RatFn, RootFindingError, TruncSeries, poly_roots
 from .atlas import (
     AtlasClassificationError,
     AtlasLabel,
@@ -104,7 +104,6 @@ __all__ = [
     "normalize_formal",
     "poly_roots",
     "predict_dynamics",
-    "ratfn_residue",
     "template_field",
     "unlift",
 ]

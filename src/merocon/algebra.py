@@ -46,17 +46,6 @@ def poly_eval(c: Sequence[complex], z: complex) -> complex:
     return acc
 
 
-def poly_add(a: Sequence[complex], b: Sequence[complex]) -> Coeffs:
-    n = max(len(a), len(b))
-    return tuple(
-        (a[k] if k < len(a) else 0j) + (b[k] if k < len(b) else 0j) for k in range(n)
-    )
-
-
-def poly_scale(a: Sequence[complex], s: complex) -> Coeffs:
-    return tuple(s * x for x in a)
-
-
 def poly_mul(a: Sequence[complex], b: Sequence[complex]) -> Coeffs:
     if not a or not b:
         return ()
@@ -378,10 +367,6 @@ class RatFn:
         return poly_roots(self.den, tol)
 
 
-def ratfn_residue(f: RatFn, p: complex, tol: float = DEFAULT_TOL) -> complex:
-    return f.residue(p, tol)
-
-
 # ---------------------------------------------------------------------------
 # truncated power series
 # ---------------------------------------------------------------------------
@@ -500,22 +485,7 @@ class TruncSeries:
         return g
 
     def eval(self, z: complex) -> complex:
-        acc = 0j
-        for a in reversed(self.c):
-            acc = acc * z + a
-        return acc
-
-
-def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    return a.mul(b)
-
-
-def series_recip(a: TruncSeries) -> TruncSeries:
-    return a.recip()
-
-
-def series_compose(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    return a.compose(b)
+        return poly_eval(self.c, z)
 
 
 def solve_linear_series_ode(w: TruncSeries, y0: complex = 1.0 + 0j) -> TruncSeries:

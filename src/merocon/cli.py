@@ -73,6 +73,23 @@ def parse_complex(text: str) -> complex:
         raise InputError(f"cannot parse complex number from {text!r}") from exc
 
 
+def _is_pair(item) -> bool:
+    """True for a JSON [re, im] pair of numbers."""
+    return (
+        isinstance(item, list)
+        and len(item) == 2
+        and all(isinstance(v, (int, float)) for v in item)
+    )
+
+
+def _split_values(text: str, form: str) -> list[str]:
+    """Split a comma-separated flag value that must look like `form`."""
+    parts = text.split(",")
+    if len(parts) != form.count(",") + 1:
+        raise InputError(f"expected {form}, got {text!r}")
+    return parts
+
+
 def atomic_write(path: str, data: str) -> None:
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".merocon-")
@@ -120,11 +137,7 @@ def parse_field_file(path: str) -> HomogeneousField:
             )
         coeffs = []
         for k, item in enumerate(rows):
-            if (
-                not isinstance(item, list)
-                or len(item) != 2
-                or not all(isinstance(v, (int, float)) for v in item)
-            ):
+            if not _is_pair(item):
                 raise InputError(f"{path}: {name}[{k}] must be a [re, im] pair")
             coeffs.append(complex(item[0], item[1]))
         comps.append(tuple(coeffs))
@@ -509,8 +522,6 @@ def _contour_residue(cd: ConnectionData, d, n: int = 512) -> Optional[complex]:
 # command implementations
 # ---------------------------------------------------------------------------
 
-CONFIG_KEYS = ("tol", "tmax", "escape", "pole_radius", "stride", "bidirectional")
-
 CONFIG_DEFAULTS = {
     "tol": 1e-9,
     "tmax": 50.0,
@@ -531,7 +542,7 @@ def _load_config(path: Optional[str]) -> dict:
         raise InputError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise InputError(f"{path}: config must be a JSON object")
-    unknown = set(raw) - set(CONFIG_KEYS)
+    unknown = set(raw) - set(CONFIG_DEFAULTS)
     if unknown:
         raise InputError(f"{path}: unknown config keys {sorted(unknown)}")
     return raw
@@ -603,13 +614,13 @@ def _resolve_connection(args) -> tuple[ConnectionData, bool]:
 
 def _resolve_initial(args, cd: ConnectionData, single: bool) -> ChartState:
     if args.state is not None:
-        chart, z, v = args.state.split(",")
+        chart, z, v = _split_values(args.state, "chart,zeta,v")
         chart = chart.strip()
         if chart not in ("0", "inf"):
             raise InputError("state chart must be 0 or inf")
         return ChartState(chart, parse_complex(z), parse_complex(v), 0.0)
     if args.frm is not None:
-        z, w = args.frm.split(",")
+        z, w = _split_values(args.frm, "z,w")
         return lift_nu_polar((parse_complex(z), parse_complex(w)), cd.nu)
     raise InputError("need --from z,w or --state chart,zeta,v")
 
@@ -636,9 +647,11 @@ def cmd_sweep(args) -> int:
             entries = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read initial conditions: {exc}") from exc
+    if not isinstance(entries, list):
+        raise InputError("initial conditions must be a JSON list")
     prepared: list[tuple[int, Optional[ChartState], Optional[str]]] = []
     for k, item in enumerate(entries):
-        if not isinstance(item, list) or len(item) != 2:
+        if not isinstance(item, list) or len(item) != 2 or not all(map(_is_pair, item)):
             raise InputError(f"initial condition {k} must be [[re,im],[re,im]]")
         w = (complex(item[0][0], item[0][1]), complex(item[1][0], item[1][1]))
         try:
@@ -647,7 +660,7 @@ def cmd_sweep(args) -> int:
             prepared.append((k, None, f"{type(exc).__name__}: {exc}"))
     cfg = _integrator_config(args, single)
     runnable = [(k, st) for k, st, err in prepared if st is not None]
-    items = batch_sweep(cd, [st for _, st in runnable], cfg, workers=None)
+    items = batch_sweep(cd, [st for _, st in runnable], cfg)
     by_index = {runnable[item.index][0]: item for item in items}
     os.makedirs(args.out_dir, exist_ok=True)
     summary = []

@@ -25,6 +25,7 @@ from .algebra import (
     RootFindingError,
     TruncSeries,
     poly_eval,
+    poly_mul,
     poly_roots,
     poly_shift,
     poly_trim,
@@ -115,38 +116,28 @@ def _substitute_linear(
     first = [(1.0 + 0j,)]
     second = [(1.0 + 0j,)]
     for _ in range(deg):
-        first.append(_bin_mul(first[-1], (a, b)))
-        second.append(_bin_mul(second[-1], (c, d)))
+        first.append(poly_mul(first[-1], (a, b)))
+        second.append(poly_mul(second[-1], (c, d)))
     out = [0j] * (deg + 1)
     for k, coef in enumerate(coeffs):
         if coef == 0:
             continue
-        term = _poly2_mul(first[deg - k], second[k])
+        term = poly_mul(first[deg - k], second[k])
         for j, t in enumerate(term):
             out[j] += coef * t
-    return tuple(out)
-
-
-def _bin_mul(p: tuple[complex, ...], lin: tuple[complex, complex]) -> tuple[complex, ...]:
-    a, b = lin
-    out = [0j] * (len(p) + 1)
-    for j, x in enumerate(p):
-        out[j] += x * a
-        out[j + 1] += x * b
-    return tuple(out)
-
-
-def _poly2_mul(p: tuple[complex, ...], q: tuple[complex, ...]) -> tuple[complex, ...]:
-    out = [0j] * (len(p) + len(q) - 1)
-    for i, x in enumerate(p):
-        for j, y in enumerate(q):
-            out[i + j] += x * y
     return tuple(out)
 
 
 # ---------------------------------------------------------------------------
 # points of the projective line
 # ---------------------------------------------------------------------------
+
+def chordal(a: tuple[float, float, float], b: tuple[float, float, float]) -> float:
+    """Chordal distance on P^1: half the distance between unit-sphere images."""
+    return 0.5 * math.sqrt(
+        (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 + (a[2] - b[2]) ** 2
+    )
+
 
 @dataclass(frozen=True)
 class ProjPoint:
@@ -196,9 +187,7 @@ class ProjPoint:
         return (2 * z.real / (1 + n), -2 * z.imag / (1 + n), (1 - n) / (1 + n))
 
     def chordal(self, other: "ProjPoint") -> float:
-        a = self.sphere()
-        b = other.sphere()
-        return 0.5 * math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
+        return chordal(self.sphere(), other.sphere())
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +223,20 @@ class ConnectionData:
     y0: Coeffs
     xinf: Optional[Coeffs]
     yinf: Optional[Coeffs]
-    eta0: Optional[RatFn]
-    eta_inf: Optional[RatFn]
     directions: tuple[CharDirection, ...]
     single_chart: bool = False
+
+    @property
+    def eta0(self) -> RatFn:
+        """Reduced connection form Y0/X0 in chart 0, computed on access."""
+        return RatFn.make(self.y0, self.x0)
+
+    @property
+    def eta_inf(self) -> Optional[RatFn]:
+        """Reduced Yinf/Xinf in chart inf; None for single-chart models."""
+        if self.single_chart:
+            return None
+        return RatFn.make(self.yinf, self.xinf)
 
     def chart_polys(self, chart: str) -> tuple[Coeffs, Coeffs]:
         if chart == CHART_ZERO or self.single_chart:
@@ -246,21 +245,13 @@ class ConnectionData:
 
     def negated(self) -> "ConnectionData":
         neg = lambda c: tuple(-x for x in c) if c is not None else None
-        return ConnectionData(
-            self.nu,
-            neg(self.x0),
-            neg(self.y0),
-            neg(self.xinf),
-            neg(self.yinf),
-            self.eta0,
-            self.eta_inf,
-            self.directions,
-            self.single_chart,
+        return replace(
+            self,
+            x0=neg(self.x0),
+            y0=neg(self.y0),
+            xinf=neg(self.xinf),
+            yinf=neg(self.yinf),
         )
-
-    def poles_of_induced_connection(self) -> tuple[CharDirection, ...]:
-        """Directions carrying a nonzero induced residue."""
-        return tuple(d for d in self.directions if abs(d.induced_residue) > 1e-12)
 
 
 def cross_poly(field: HomogeneousField) -> Coeffs:
@@ -407,16 +398,12 @@ def connection_data(field: HomogeneousField, tol: float = DEFAULT_TOL) -> Connec
                 prediction=predict_dynamics(report),
             )
         )
-    eta0 = RatFn.make(y0, x0, tol)
-    eta_inf = RatFn.make(yinf, xinf, tol)
     return ConnectionData(
         nu=field.nu,
         x0=x0,
         y0=y0,
         xinf=xinf,
         yinf=yinf,
-        eta0=eta0,
-        eta_inf=eta_inf,
         directions=tuple(out),
     )
 
@@ -471,8 +458,6 @@ def _model_from_polys(x: Coeffs, y: Coeffs, nu: int) -> ConnectionData:
         y0=y,
         xinf=None,
         yinf=None,
-        eta0=RatFn.make(y, x),
-        eta_inf=None,
         directions=(direction,),
         single_chart=True,
     )

@@ -13,15 +13,13 @@ import bisect
 import cmath
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .algebra import poly_eval
-from .fields import CHART_INF, CHART_ZERO, ConnectionData, ProjPoint
+from .fields import CHART_INF, CHART_ZERO, ConnectionData, ProjPoint, chordal
 from .germs import APPARENT
 
 # Dormand-Prince 5(4) tableau
@@ -83,12 +81,6 @@ def _sphere(chart: str, z: complex) -> tuple[float, float, float]:
     if chart == CHART_ZERO:
         return (2 * z.real / d, 2 * z.imag / d, (n - 1) / d)
     return (2 * z.real / d, -2 * z.imag / d, (1 - n) / d)
-
-
-def chordal(a: tuple[float, float, float], b: tuple[float, float, float]) -> float:
-    return 0.5 * math.sqrt(
-        (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 + (a[2] - b[2]) ** 2
-    )
 
 
 @dataclass(frozen=True)
@@ -1086,9 +1078,11 @@ def _accumulation_test(
     if len(refined) < 2:
         return None
     bounds_t = [samples[ref_idx].t] + [r[0] for r in refined]
-    loops = []
-    for a, b in zip(bounds_t, bounds_t[1:]):
-        loops.append([s.sphere() for s in samples if a <= s.t <= b])
+    times = traj.sample_times()
+    loops = [
+        [s.sphere() for s in samples[_span(times, a, b)]]
+        for a, b in zip(bounds_t, bounds_t[1:])
+    ]
     loops = [lp for lp in loops if len(lp) >= 3]
     if len(loops) < 2:
         return None
@@ -1162,26 +1156,15 @@ def batch_sweep(
     cd: ConnectionData,
     inits: Sequence[ChartState],
     cfg: IntegratorConfig,
-    workers: Optional[int] = None,
 ) -> list[SweepItem]:
-    """Independent integrations; output order matches input order.
+    """Independent integrations, run in turn; output order matches input order.
 
-    Per-item failures are carried in-band.  Worker count defaults to the
-    MEROCON_THREADS environment variable (1 when unset).
+    Per-item failures are carried in-band.
     """
-    if workers is None:
-        workers = int(os.environ.get("MEROCON_THREADS", "1") or "1")
-    workers = max(1, workers)
-
-    def run(pair: tuple[int, ChartState]) -> SweepItem:
-        idx, init = pair
+    out = []
+    for idx, init in enumerate(inits):
         try:
-            return SweepItem(idx, integrate(cd, init, cfg), None)
+            out.append(SweepItem(idx, integrate(cd, init, cfg), None))
         except Exception as exc:  # noqa: BLE001 - carried in-band by contract
-            return SweepItem(idx, None, f"{type(exc).__name__}: {exc}")
-
-    items = list(enumerate(inits))
-    if workers == 1:
-        return [run(p) for p in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, items))
+            out.append(SweepItem(idx, None, f"{type(exc).__name__}: {exc}"))
+    return out

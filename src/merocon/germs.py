@@ -53,28 +53,15 @@ class LocalGerm:
         x: TruncSeries, y: Optional[TruncSeries], tol: float = DEFAULT_TOL
     ) -> "LocalGerm":
         """Build a germ from raw X, Y series, detecting vanishing orders."""
-        mu_x, hx = _split_order(x, tol)
+        mu_x, hx = _split_order_abs(x, tol * max(abs(c) for c in x.c))
         if mu_x is None or mu_x < 1:
             raise ValueError("X must vanish at the singular point but not identically")
         if y is None:
             return LocalGerm(mu_x, hx, None, None)
-        mu_y, hy = _split_order(y, tol)
+        mu_y, hy = _split_order_abs(y, tol * max(abs(c) for c in y.c))
         if mu_y is None:
             return LocalGerm(mu_x, hx, None, None)
         return LocalGerm(mu_x, hx, mu_y, hy)
-
-
-def _split_order(
-    s: TruncSeries, tol: float
-) -> tuple[Optional[int], Optional[TruncSeries]]:
-    scale = max(abs(c) for c in s.c)
-    if scale == 0.0:
-        return None, None
-    mu = next((k for k, c in enumerate(s.c) if abs(c) > tol * scale), None)
-    if mu is None:
-        return None, None
-    unit = TruncSeries.from_coeffs(s.c[mu:], s.n)
-    return mu, unit
 
 
 def _split_order_abs(

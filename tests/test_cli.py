@@ -125,6 +125,13 @@ class TestSimulateCommand:
     def test_missing_initial_data(self, three_thirds_file, capsys):
         assert main(["simulate", three_thirds_file]) == 2
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--state", "0,1"), ("--state", "0,1,1,1"), ("--from", "1")]
+    )
+    def test_wrong_value_count_is_input_error(self, three_thirds_file, capsys, flag, value):
+        assert main(["simulate", three_thirds_file, flag, value]) == 2
+        assert "input error" in capsys.readouterr().err
+
     def test_config_file_sets_tolerances(self, tmp_path, three_thirds_file, capsys):
         cfg = tmp_path / "settings.json"
         cfg.write_text(json.dumps({"tmax": 0.5, "stride": 0.25}))
@@ -196,6 +203,32 @@ class TestSweepCommand:
         assert code == 1
         summary = json.loads(capsys.readouterr().out)
         assert "error" in summary[0]
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [[[1], [2, 3]]],
+            [[["a", 1], [1, 2]]],
+            [[[1, 2], [3, 4, 5]]],
+            {"start": [[1, 2], [3, 4]]},
+            7,
+        ],
+    )
+    def test_malformed_inits_are_input_errors(
+        self, tmp_path, three_thirds_file, capsys, entries
+    ):
+        inits = tmp_path / "inits.json"
+        inits.write_text(json.dumps(entries))
+        out_dir = tmp_path / "runs"
+        code = main(
+            [
+                "sweep", three_thirds_file,
+                "--inits", str(inits), "--out-dir", str(out_dir), "--tmax", "1.0",
+            ]
+        )
+        assert code == 2
+        assert "input error" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 class TestAtlasCommand:

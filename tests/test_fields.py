@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from merocon.algebra import RatFn
 from merocon.fields import (
     ACCUMULATING_LEAVES,
     CHART_INF,
@@ -201,6 +202,18 @@ class TestConnectionData:
         ]
         assert len(poles0) == len(nonapparent0) == 1
         assert abs(poles0[0][0] - nonapparent0[0]) < 1e-8
+
+    def test_connection_forms_built_on_access(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("RatFn.make called while building connection data")
+
+        monkeypatch.setattr(RatFn, "make", staticmethod(refuse))
+        cd = connection_data(three_fuchsian_field())
+        model = model_connection(1, 0.5)
+        monkeypatch.undo()
+        assert cd.eta0 == RatFn.make(cd.y0, cd.x0)
+        assert cd.eta_inf == RatFn.make(cd.yinf, cd.xinf)
+        assert model.eta_inf is None
 
 
 class TestModelConnection:

@@ -465,7 +465,7 @@ class TestSweep:
             ChartState(CHART_ZERO, 0.2, 0.0, 0.0),  # zero section: must fail in-band
             lift_nu_polar((0.5, 0.25), 1),
         ]
-        out = batch_sweep(cd, inits, base_cfg(t_max=1.0), workers=2)
+        out = batch_sweep(cd, inits, base_cfg(t_max=1.0))
         assert [item.index for item in out] == [0, 1, 2]
         assert out[0].trajectory is not None and out[0].error is None
         assert out[1].trajectory is None and "zero section" in out[1].error
@@ -474,8 +474,8 @@ class TestSweep:
     def test_deterministic(self):
         cd = connection_data(THREE_THIRDS)
         inits = [lift_nu_polar((0.9, 0.3 + 0.2j), 1)] * 2
-        a = batch_sweep(cd, inits, base_cfg(t_max=1.0), workers=1)
-        b = batch_sweep(cd, inits, base_cfg(t_max=1.0), workers=2)
+        a = batch_sweep(cd, inits, base_cfg(t_max=1.0))
+        b = batch_sweep(cd, inits, base_cfg(t_max=1.0))
         za = [s.zeta for s in a[0].trajectory.samples]
         zb = [s.zeta for s in b[1].trajectory.samples]
         assert za == zb
