@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+# relative tolerance of every root, residue and vanishing-order decision
 DEFAULT_TOL = 1e-9
 
 Coeffs = tuple[complex, ...]
@@ -129,9 +130,10 @@ def _aberth(monic: list[complex], max_iter: int = 400) -> list[complex]:
     return zs
 
 
-def _cluster(points: list[complex], tol: float) -> list[list[complex]]:
-    # union-find; join radius for a tentative cluster of size m is tol^(1/m),
-    # matching the spread of an m-fold root computed in floating point
+def _cluster(points: list[complex]) -> list[list[complex]]:
+    # union-find; join radius for a tentative cluster of size m is
+    # DEFAULT_TOL^(1/m), matching the spread of an m-fold root computed in
+    # floating point
     n = len(points)
     parent = list(range(n))
 
@@ -154,7 +156,7 @@ def _cluster(points: list[complex], tol: float) -> list[list[complex]]:
                 if ri == rj:
                     continue
                 m = size(i) + size(j)
-                radius = tol ** (1.0 / m) * (1.0 + abs(points[i]))
+                radius = DEFAULT_TOL ** (1.0 / m) * (1.0 + abs(points[i]))
                 if abs(points[i] - points[j]) <= radius:
                     parent[rj] = ri
                     changed = True
@@ -192,7 +194,7 @@ def _polish(monic: list[complex], z: complex, m: int, iters: int = 8) -> complex
     return best
 
 
-def poly_roots(c: Sequence[complex], tol: float = DEFAULT_TOL) -> list[tuple[complex, int]]:
+def poly_roots(c: Sequence[complex]) -> list[tuple[complex, int]]:
     """All roots of a nonzero polynomial with multiplicities.
 
     Simultaneous (Aberth) iteration followed by a tolerance-aware cluster
@@ -220,7 +222,7 @@ def poly_roots(c: Sequence[complex], tol: float = DEFAULT_TOL) -> list[tuple[com
         lead = body[-1]
         monic = [x / lead for x in body]
         approx = _aberth(monic)
-        clusters = _cluster(approx, max(tol, 1e3 * 2.2e-16))
+        clusters = _cluster(approx)
         merged: list[tuple[complex, int]] = []
         for grp in clusters:
             m = len(grp)
@@ -228,10 +230,10 @@ def poly_roots(c: Sequence[complex], tol: float = DEFAULT_TOL) -> list[tuple[com
             merged.append((_polish(monic, center, m), m))
         # derivative-based upgrade: an m-fold root missed by clustering shows
         # up as near-vanishing low derivatives at the polished points
-        roots_body = _merge_by_multiplicity(monic, merged, tol)
+        roots_body = _merge_by_multiplicity(monic, merged)
         for r, m in roots_body:
             res = abs(poly_eval(monic, r))
-            bound = 10.0 * max(tol, 1e-12) * max(1.0, abs(r)) ** d
+            bound = 10.0 * DEFAULT_TOL * max(1.0, abs(r)) ** d
             if res > bound:
                 raise RootFindingError(
                     f"root {r!r} residual {res:.3e} exceeds bound {bound:.3e}"
@@ -242,7 +244,7 @@ def poly_roots(c: Sequence[complex], tol: float = DEFAULT_TOL) -> list[tuple[com
 
 
 def _merge_by_multiplicity(
-    monic: list[complex], merged: list[tuple[complex, int]], tol: float
+    monic: list[complex], merged: list[tuple[complex, int]]
 ) -> list[tuple[complex, int]]:
     der = [list(monic)]
     for _ in range(len(monic) - 1):
@@ -281,20 +283,18 @@ def _merge_by_multiplicity(
 # rational functions
 # ---------------------------------------------------------------------------
 
-def _local_orders(shifted: Sequence[complex], rel: float = 1e-9) -> int:
-    """Index of the first coefficient significant relative to the largest."""
+def _local_orders(shifted: Sequence[complex]) -> int:
+    """Index of the first coefficient above DEFAULT_TOL relative to the largest."""
     scale = max((abs(x) for x in shifted), default=0.0)
     if scale == 0.0:
         return len(shifted)
     for k, x in enumerate(shifted):
-        if abs(x) > rel * scale:
+        if abs(x) > DEFAULT_TOL * scale:
             return k
     return len(shifted)
 
 
-def rational_residue(
-    num: Sequence[complex], den: Sequence[complex], p: complex, tol: float = DEFAULT_TOL
-) -> complex:
+def rational_residue(num: Sequence[complex], den: Sequence[complex], p: complex) -> complex:
     """Residue of num/den at p; exact coefficient recurrences, no quadrature.
 
     Regular points (including common zeros that cancel the pole) return 0.
@@ -307,10 +307,10 @@ def rational_residue(
         return 0j
     ns = poly_shift(num_t, p)
     ds = poly_shift(den_t, p)
-    m = _local_orders(ds, rel=tol)
+    m = _local_orders(ds)
     if m == 0:
         return 0j
-    k = _local_orders(ns, rel=tol)
+    k = _local_orders(ns)
     order = m - k
     if order <= 0:
         return 0j
@@ -330,15 +330,15 @@ class RatFn:
     den: Coeffs
 
     @staticmethod
-    def make(num: Sequence[complex], den: Sequence[complex], tol: float = DEFAULT_TOL) -> "RatFn":
+    def make(num: Sequence[complex], den: Sequence[complex]) -> "RatFn":
         den_t = poly_trim(den, rel=1e-15)
         if not den_t:
             raise ValueError("denominator is the zero polynomial")
         num_t = poly_trim(num, rel=1e-15)
         if not num_t:
             return RatFn((), den_t)
-        nroots = poly_roots(num_t, tol)
-        droots = poly_roots(den_t, tol)
+        nroots = poly_roots(num_t)
+        droots = poly_roots(den_t)
         nlist = [[r, m] for r, m in nroots]
         dkeep: list[tuple[complex, int]] = []
         for r, m in droots:
@@ -358,13 +358,13 @@ class RatFn:
     def __call__(self, z: complex) -> complex:
         return poly_eval(self.num, z) / poly_eval(self.den, z)
 
-    def residue(self, p: complex, tol: float = DEFAULT_TOL) -> complex:
-        return rational_residue(self.num, self.den, p, tol)
+    def residue(self, p: complex) -> complex:
+        return rational_residue(self.num, self.den, p)
 
-    def poles(self, tol: float = DEFAULT_TOL) -> list[tuple[complex, int]]:
+    def poles(self) -> list[tuple[complex, int]]:
         if poly_degree(self.den) < 1:
             return []
-        return poly_roots(self.den, tol)
+        return poly_roots(self.den)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,7 +34,6 @@ from .fields import (
     SingularTimeError,
     connection_data,
     is_dicritical,
-    leaf_closure_class,
     monodromy_info,
 )
 from .germs import FUCHSIAN, IRREGULAR
@@ -54,6 +53,9 @@ LABELS = (
 )
 
 PARAMETRIC = {"C210": 1, "C211": 1, "C3rho10": 1, "C3rhotau1": 2}
+
+# largest relative coefficient residual at which a field matches its template
+MATCH_TOL = 1e-6
 
 
 class AtlasClassificationError(ValueError):
@@ -144,41 +146,41 @@ def _residual(field: HomogeneousField, target: HomogeneousField) -> float:
 
 
 def classify_quadratic(
-    field: HomogeneousField, tol: float = 1e-6
+    field: HomogeneousField, cd: Optional[ConnectionData] = None
 ) -> AtlasReport:
     """Match a quadratic field to its normal form and conjugating map.
 
     The decision tree follows invariant data only (direction count, orders,
     degeneracy, singularity class, residues); the conjugacy is built from
     the direction frame and the leftover diagonal/triangular freedom is
-    fixed against the template coefficients.
+    fixed against the template coefficients.  ``cd`` is the field's
+    connection data when the caller already holds it.
     """
     if field.nu != 1:
         raise ValueError("the atlas covers quadratic fields (nu = 1) only")
     if is_dicritical(field):
-        return _classify_dicritical(field, tol)
-    cd = connection_data(field)
+        return _classify_dicritical(field)
+    if cd is None:
+        cd = connection_data(field)
     dirs = sorted(cd.directions, key=lambda d: d.order)
     count = len(dirs)
     if count == 3:
-        return _classify_three(field, dirs, tol)
+        return _classify_three(field, dirs)
     if count == 2:
-        return _classify_two(field, dirs, tol)
+        return _classify_two(field, dirs)
     if count == 1:
-        return _classify_one(field, dirs[0], tol)
+        return _classify_one(field, dirs[0])
     raise AtlasClassificationError(f"unexpected direction count {count}")
 
 
-def _finish(
-    field: HomogeneousField, label: AtlasLabel, L: np.ndarray, tol: float
-) -> AtlasReport:
+def _finish(field: HomogeneousField, label: AtlasLabel, L: np.ndarray) -> AtlasReport:
     target = template_field(label)
     L = _refine_conjugacy(field, target, L)
     got = _conj_field(field, L)
     res = _residual(got, target)
-    if res > tol:
+    if res > MATCH_TOL:
         raise AtlasClassificationError(
-            f"residual {res:.3e} against {label.name} exceeds {tol:.1e}"
+            f"residual {res:.3e} against {label.name} exceeds {MATCH_TOL:.1e}"
         )
     conj = ((L[0, 0], L[0, 1]), (L[1, 0], L[1, 1]))
     return AtlasReport(label, conj, res)
@@ -229,7 +231,7 @@ def _refine_conjugacy(
     return best
 
 
-def _classify_dicritical(field: HomogeneousField, tol: float) -> AtlasReport:
+def _classify_dicritical(field: HomogeneousField) -> AtlasReport:
     # Q = ell(z, w) * radial; send ker ell-complement so that ell o L^{-1} = z
     cands = [
         (field.q1[0], field.q1[1]),
@@ -242,7 +244,7 @@ def _classify_dicritical(field: HomogeneousField, tol: float) -> AtlasReport:
         L = np.array([[l1, l2], [0.0, 1.0]], dtype=complex)
     else:
         L = np.array([[l1, l2], [1.0, 0.0]], dtype=complex)
-    return _finish(field, AtlasLabel("INF"), L, tol)
+    return _finish(field, AtlasLabel("INF"), L)
 
 
 def _frame_to(
@@ -253,9 +255,7 @@ def _frame_to(
     return np.linalg.inv(M)
 
 
-def _classify_three(
-    field: HomogeneousField, dirs: list[CharDirection], tol: float
-) -> AtlasReport:
+def _classify_three(field: HomogeneousField, dirs: list[CharDirection]) -> AtlasReport:
     nondeg = [d for d in dirs if not d.degenerate]
     n = len(nondeg)
     if n == 1:
@@ -291,7 +291,7 @@ def _classify_three(
         if s is None:
             continue
         try:
-            return _finish(field, label, s * L1, tol)
+            return _finish(field, label, s * L1)
         except AtlasClassificationError as exc:
             last = exc
     raise last or AtlasClassificationError("no admissible direction ordering")
@@ -341,9 +341,7 @@ def _scale_match(
     return ref[0] / ref[1]
 
 
-def _classify_two(
-    field: HomogeneousField, dirs: list[CharDirection], tol: float
-) -> AtlasReport:
+def _classify_two(field: HomogeneousField, dirs: list[CharDirection]) -> AtlasReport:
     d1, d2 = dirs  # sorted by order: (1, 2)
     if d1.order != 1 or d2.order != 2:
         raise AtlasClassificationError(
@@ -377,12 +375,10 @@ def _classify_two(
             raise AtlasClassificationError("missing template coefficients for C211")
         d1_scale = -a / rho if abs(rho) >= abs(1 - rho) else c / (1 - rho)
         D = np.diag([d1_scale, b])
-    return _finish(field, label, D @ L1, tol)
+    return _finish(field, label, D @ L1)
 
 
-def _classify_one(
-    field: HomogeneousField, d: CharDirection, tol: float
-) -> AtlasReport:
+def _classify_one(field: HomogeneousField, d: CharDirection) -> AtlasReport:
     u = _rep(d)
     p = np.array([-np.conj(u[1]), np.conj(u[0])], dtype=complex)
     B = np.column_stack([p, u])
@@ -413,7 +409,7 @@ def _classify_one(
             f"single direction with unexpected germ: degenerate={d.degenerate}, "
             f"class={d.sing_class}, irregularity={d.irregularity}"
         )
-    return _finish(field, label, L2 @ L1, tol)
+    return _finish(field, label, L2 @ L1)
 
 
 def _clean(z: complex) -> complex:
@@ -425,9 +421,6 @@ def _clean(z: complex) -> complex:
 # ---------------------------------------------------------------------------
 # closed-form trajectory oracles
 # ---------------------------------------------------------------------------
-
-ORACLE_LABELS = ("C100", "C2001", "C3100", "C210")
-
 
 def closed_form_oracle(
     label: AtlasLabel, init: tuple[complex, complex], t: float
@@ -522,12 +515,8 @@ def dynamics_dossier(
         },
         "residual": report.residual,
         "directions": dirs,
-        "monodromy": {
-            "real_periods": info.real_periods,
-            "finite_cyclic": info.finite_cyclic,
-            "cyclic_order": info.cyclic_order,
-        },
-        "leaf_closure": leaf_closure_class(cd),
+        "monodromy": asdict(info),
+        "leaf_closure": info.leaf_closure,
         "closed_geodesic_subsets": closed_subsets,
         "periodic_geodesic_subsets": periodic_subsets,
         "full_description_hypotheses": {

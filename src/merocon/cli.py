@@ -13,9 +13,10 @@ import os
 import random as _random
 import sys
 import tempfile
+from dataclasses import asdict
 from typing import Optional, Sequence
 
-from .algebra import rational_residue
+from .algebra import poly_eval, rational_residue
 from .atlas import (
     AtlasClassificationError,
     classify_quadratic,
@@ -29,7 +30,6 @@ from .fields import (
     ProjPoint,
     connection_data,
     is_dicritical,
-    leaf_closure_class,
     model_connection,
     model_connection_apparent,
     monodromy_info,
@@ -48,6 +48,8 @@ from .flow import (
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
+
+SVG_SIZE = 640  # side of the square `simulate --svg` plot, in pixels
 
 
 class InputError(ValueError):
@@ -229,15 +231,11 @@ def build_report(field: HomogeneousField) -> dict:
         "induced": cpair(sum(d.induced_residue for d in cd.directions)),
         "orders": sum(d.order for d in cd.directions),
     }
-    report["monodromy"] = {
-        "real_periods": info.real_periods,
-        "finite_cyclic": info.finite_cyclic,
-        "cyclic_order": info.cyclic_order,
-    }
-    report["leaf_closure"] = leaf_closure_class(cd)
+    report["monodromy"] = asdict(info)
+    report["leaf_closure"] = info.leaf_closure
     if field.nu == 1:
         try:
-            atlas_rep = classify_quadratic(field)
+            atlas_rep = classify_quadratic(field, cd)
             dossier = dynamics_dossier(atlas_rep, field, cd)
             report["atlas"] = _jsonify(dossier)
             report["atlas"]["conjugacy"] = [
@@ -331,7 +329,7 @@ def parse_trajectory_csv(text: str) -> list[dict]:
     return rows
 
 
-def trajectory_svg(traj: Trajectory, cd: ConnectionData, size: int = 640) -> str:
+def trajectory_svg(traj: Trajectory, cd: ConnectionData) -> str:
     """Deterministic static plot of the projected curve in chart-0 coords."""
     clip = 10.0
     pts: list[tuple[float, float]] = []
@@ -365,8 +363,8 @@ def trajectory_svg(traj: Trajectory, cd: ConnectionData, size: int = 640) -> str
 
     def to_px(p):
         return (
-            (p[0] - cx) / span * size + size / 2,
-            -(p[1] - cy) / span * size + size / 2,
+            (p[0] - cx) / span * SVG_SIZE + SVG_SIZE / 2,
+            -(p[1] - cy) / span * SVG_SIZE + SVG_SIZE / 2,
         )
 
     chunks: list[list[tuple[float, float]]] = [[]]
@@ -377,9 +375,9 @@ def trajectory_svg(traj: Trajectory, cd: ConnectionData, size: int = 640) -> str
         else:
             chunks[-1].append(to_px(p))
     body = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" height="{SVG_SIZE}" '
+        f'viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
+        f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>',
     ]
     for chunk in chunks:
         if len(chunk) < 2:
@@ -508,8 +506,6 @@ def _contour_residue(cd: ConnectionData, d, n: int = 512) -> Optional[complex]:
     if radius < 1e-8:
         return None
     total = 0j
-    from .algebra import poly_eval
-
     for k in range(n):
         ang = 2 * math.pi * k / n
         z = center + radius * complex(math.cos(ang), math.sin(ang))
@@ -612,7 +608,7 @@ def _resolve_connection(args) -> tuple[ConnectionData, bool]:
     return connection_data(field), False
 
 
-def _resolve_initial(args, cd: ConnectionData, single: bool) -> ChartState:
+def _resolve_initial(args, cd: ConnectionData) -> ChartState:
     if args.state is not None:
         chart, z, v = _split_values(args.state, "chart,zeta,v")
         chart = chart.strip()
@@ -627,7 +623,7 @@ def _resolve_initial(args, cd: ConnectionData, single: bool) -> ChartState:
 
 def cmd_simulate(args) -> int:
     cd, single = _resolve_connection(args)
-    init = _resolve_initial(args, cd, single)
+    init = _resolve_initial(args, cd)
     cfg = _integrator_config(args, single)
     traj = integrate(cd, init, cfg)
     csv = trajectory_csv(traj)

@@ -265,8 +265,8 @@ def cross_poly(field: HomogeneousField) -> Coeffs:
     return tuple(out)
 
 
-def is_dicritical(field: HomogeneousField, tol: float = DEFAULT_TOL) -> bool:
-    return max(abs(c) for c in cross_poly(field)) <= tol * field.scale
+def is_dicritical(field: HomogeneousField) -> bool:
+    return max(abs(c) for c in cross_poly(field)) <= DEFAULT_TOL * field.scale
 
 
 def chart_polynomials(field: HomogeneousField) -> tuple[Coeffs, Coeffs, Coeffs, Coeffs]:
@@ -279,9 +279,7 @@ def chart_polynomials(field: HomogeneousField) -> tuple[Coeffs, Coeffs, Coeffs, 
     return x0, y0, xinf, yinf
 
 
-def characteristic_directions(
-    field: HomogeneousField, tol: float = DEFAULT_TOL
-) -> list[tuple[ProjPoint, int]]:
+def characteristic_directions(field: HomogeneousField) -> list[tuple[ProjPoint, int]]:
     """Projective roots of w1 Q2 - w2 Q1 with multiplicities (sum nu+2).
 
     Roots are taken from whichever chart holds them inside the unit disc,
@@ -290,7 +288,7 @@ def characteristic_directions(
     machine precision with a multiplicity-aware Newton step, and the
     overlap band near |coord| = 1 is deduplicated by chordal proximity.
     """
-    if is_dicritical(field, tol):
+    if is_dicritical(field):
         raise DicriticalFieldError("every direction of a dicritical field is characteristic")
     x0, _, xinf, _ = chart_polynomials(field)
     band = 1.0 + 1e-6
@@ -299,7 +297,7 @@ def characteristic_directions(
         trimmed = poly_trim(poly, rel=1e-12)
         if len(trimmed) <= 1:
             continue
-        for root, mult in poly_roots(trimmed, tol):
+        for root, mult in poly_roots(trimmed):
             if abs(root) > band:
                 continue
             coord = _polish_mult(trimmed, root, mult)
@@ -350,16 +348,14 @@ def _polish_mult(c: Coeffs, z: complex, m: int, iters: int = 12) -> complex:
     return z
 
 
-def _germ_at(
-    x: Coeffs, y: Coeffs, p: complex, order_hint: int, n: int = 24, tol: float = DEFAULT_TOL
-) -> LocalGerm:
+def _germ_at(x: Coeffs, y: Coeffs, p: complex, order_hint: int, n: int = 24) -> LocalGerm:
     xs = TruncSeries.from_coeffs(poly_shift(x, p), n)
     ys_c = poly_shift(y, p)
     y_scale = max((abs(c) for c in y), default=0.0)
     ys = None
-    if y_scale > 0 and max(abs(c) for c in ys_c) > tol * y_scale:
+    if y_scale > 0 and max(abs(c) for c in ys_c) > DEFAULT_TOL * y_scale:
         ys = TruncSeries.from_coeffs(ys_c, n)
-    germ = LocalGerm.from_series(xs, ys, tol)
+    germ = LocalGerm.from_series(xs, ys)
     if germ.mu_x != order_hint:
         # trust the root multiplicity; rebuild the unit with that order
         hx = TruncSeries.from_coeffs(xs.c[order_hint:], n)
@@ -369,20 +365,20 @@ def _germ_at(
     return germ
 
 
-def connection_data(field: HomogeneousField, tol: float = DEFAULT_TOL) -> ConnectionData:
+def connection_data(field: HomogeneousField) -> ConnectionData:
     """Connection, residues, indices and classified germs for a field."""
     x0, y0, xinf, yinf = chart_polynomials(field)
-    dirs = characteristic_directions(field, tol)
+    dirs = characteristic_directions(field)
     out: list[CharDirection] = []
     for point, mult in dirs:
         x, y = (x0, y0) if point.chart == CHART_ZERO else (xinf, yinf)
-        germ = _germ_at(x, y, point.coord, mult, tol=tol)
-        report = classify(germ, tol)
+        germ = _germ_at(x, y, point.coord, mult)
+        report = classify(germ)
         if report.sing_class == FUCHSIAN and report.resonant:
-            _, norm_rep, _ = normalize_formal(germ, tol=tol)
+            _, norm_rep, _ = normalize_formal(germ)
             report = norm_rep
         elif report.sing_class == APPARENT and germ.mu_x > 1:
-            report = replace(report, apparent_index=apparent_index(germ, tol))
+            report = replace(report, apparent_index=apparent_index(germ))
         residue = 0j if report.sing_class == APPARENT else report.residue
         induced = residue - mult
         index = -residue / field.nu
@@ -467,28 +463,35 @@ def _model_from_polys(x: Coeffs, y: Coeffs, nu: int) -> ConnectionData:
 # monodromy and leaf closure
 # ---------------------------------------------------------------------------
 
+CLOSED_LEAVES = "closed_leaves"
+DENSE_LEAVES = "dense_in_metric_leaf"
+ACCUMULATING_LEAVES = "accumulates_origin_and_infinity"
+
+# largest order searched for a finite cyclic monodromy group
+MAX_CYCLIC_ORDER = 64
+
+
 @dataclass(frozen=True)
 class MonodromyInfo:
     real_periods: bool
     finite_cyclic: bool
     cyclic_order: Optional[int]
 
+    @property
+    def leaf_closure(self) -> str:
+        if not self.real_periods:
+            return ACCUMULATING_LEAVES
+        return CLOSED_LEAVES if self.finite_cyclic else DENSE_LEAVES
 
-CLOSED_LEAVES = "closed_leaves"
-DENSE_LEAVES = "dense_in_metric_leaf"
-ACCUMULATING_LEAVES = "accumulates_origin_and_infinity"
 
-
-def monodromy_info(
-    cd: ConnectionData, l_max: int = 64, tol: float = DEFAULT_TOL
-) -> MonodromyInfo:
+def monodromy_info(cd: ConnectionData) -> MonodromyInfo:
     indices = [d.index for d in cd.directions]
-    real_periods = all(abs(i.imag) <= 1e2 * tol * (1 + abs(i)) for i in indices)
+    real_periods = all(abs(i.imag) <= 1e2 * DEFAULT_TOL * (1 + abs(i)) for i in indices)
     finite_cyclic = False
     cyclic_order = None
     if real_periods:
         values = [cd.nu * i.real for i in indices]
-        for ell in range(1, l_max + 1):
+        for ell in range(1, MAX_CYCLIC_ORDER + 1):
             if all(abs(ell * v - round(ell * v)) <= 1e-7 * max(1, ell) for v in values):
                 finite_cyclic = True
                 cyclic_order = ell
@@ -496,11 +499,8 @@ def monodromy_info(
     return MonodromyInfo(real_periods, finite_cyclic, cyclic_order)
 
 
-def leaf_closure_class(cd: ConnectionData, l_max: int = 64) -> str:
-    info = monodromy_info(cd, l_max)
-    if not info.real_periods:
-        return ACCUMULATING_LEAVES
-    return CLOSED_LEAVES if info.finite_cyclic else DENSE_LEAVES
+def leaf_closure_class(cd: ConnectionData) -> str:
+    return monodromy_info(cd).leaf_closure
 
 
 # ---------------------------------------------------------------------------
@@ -508,11 +508,7 @@ def leaf_closure_class(cd: ConnectionData, l_max: int = 64) -> str:
 # ---------------------------------------------------------------------------
 
 def characteristic_leaf_curve(
-    field: HomogeneousField,
-    direction: ProjPoint,
-    zeta0: complex,
-    t: float,
-    tol: float = DEFAULT_TOL,
+    field: HomogeneousField, direction: ProjPoint, zeta0: complex, t: float
 ) -> complex:
     """Scale factor of the integral curve through zeta0 * v inside a leaf.
 
@@ -523,7 +519,7 @@ def characteristic_leaf_curve(
     v = direction.representative()
     qv = field(v)
     vnorm = math.hypot(abs(v[0]), abs(v[1]))
-    if max(abs(qv[0]), abs(qv[1])) <= tol * field.scale * vnorm ** (field.nu + 1):
+    if max(abs(qv[0]), abs(qv[1])) <= DEFAULT_TOL * field.scale * vnorm ** (field.nu + 1):
         return complex(zeta0)
     lam = qv[0] / v[0] if abs(v[0]) >= abs(v[1]) else qv[1] / v[1]
     nu = field.nu

@@ -22,8 +22,7 @@ from .algebra import poly_eval
 from .fields import CHART_INF, CHART_ZERO, ConnectionData, ProjPoint, chordal
 from .germs import APPARENT
 
-# Dormand-Prince 5(4) tableau
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+# Dormand-Prince 5(4) tableau; the field is autonomous, so the nodes c_i are not needed
 _DP_A = (
     (),
     (1 / 5,),
@@ -45,6 +44,11 @@ _DP_B4 = (
 )
 
 SWITCH_OUT = 1.5  # leave the chart beyond this |zeta|
+STRIDE_REL = 0.02  # the step cap grows like this fraction of |t|
+RETURN_RADIUS = 2e-3  # chordal closed-return capture
+MAX_CROSSINGS = 4000  # candidate crossings refined per trajectory, earliest first
+MIN_CROSSING_ANGLE = 0.02  # smallest |external angle| of a reported crossing
+LOOP_CLOSURE_TOL = 5e-2  # chordal gap allowed between a loop's endpoints
 
 EV_POLE = "pole_approach"
 EV_ESCAPE = "escape"
@@ -92,9 +96,7 @@ class IntegratorConfig:
     pole_radius: float = 1e-3
     max_steps: int = 400_000
     record_stride: float = 0.05
-    record_stride_rel: float = 0.02  # step cap grows like this fraction of |t|
     zeta_escape_radius: float = 4.0  # single-chart models only
-    return_radius: float = 2e-3  # chordal closed-return capture
     two_sided: bool = False
     classify: bool = True
 
@@ -107,7 +109,6 @@ class IntegratorConfig:
             "pole_radius",
             "record_stride",
             "zeta_escape_radius",
-            "return_radius",
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -333,7 +334,7 @@ def integrate(cd: ConnectionData, init: ChartState, cfg: IntegratorConfig) -> Tr
         t += h
         z, v, w = z5, v5, w5
         h *= min(5.0, max(0.2, 0.9 * err**-0.2 if err > 0 else 5.0))
-        h = min(h, max(cfg.record_stride, cfg.record_stride_rel * abs(t)))
+        h = min(h, max(cfg.record_stride, STRIDE_REL * abs(t)))
 
         if v == 0:
             stop = "fiber_underflow"
@@ -389,7 +390,7 @@ def integrate(cd: ConnectionData, init: ChartState, cfg: IntegratorConfig) -> Tr
         # and refinement waits until the approach is interior to the window
         ds = chordal(here, prev_sphere)
         prev_sphere = here
-        capture = max(cfg.return_radius, 1.5 * ds)
+        capture = max(RETURN_RADIUS, 1.5 * ds)
         dist0 = chordal(here, start_sphere)
         excursion = max(excursion, dist0)
         if excursion > 8 * capture and dist0 > 4 * capture:
@@ -401,7 +402,7 @@ def integrate(cd: ConnectionData, init: ChartState, cfg: IntegratorConfig) -> Tr
             return_pending -= 1
             if return_pending <= 0:
                 return_pending = None
-                ev = _refine_return(samples, cd, cfg)
+                ev = _refine_return(samples, cd)
                 if ev is not None:
                     events.append(ev)
                     stop = "closed_return"
@@ -456,9 +457,7 @@ def _tangent_in_chart(state: ChartState, cd: ConnectionData, chart: str) -> comp
     return -d / (state.zeta * state.zeta)
 
 
-def _refine_return(
-    samples: Sequence[ChartState], cd: ConnectionData, cfg: IntegratorConfig
-) -> Optional[Event]:
+def _refine_return(samples: Sequence[ChartState], cd: ConnectionData) -> Optional[Event]:
     """Confirm a tangential return to the initial point and measure it."""
     first = samples[0]
     base = first.sphere()
@@ -466,7 +465,7 @@ def _refine_return(
     if got is None:
         return None
     t_star, state, d_star = got
-    if d_star > cfg.return_radius:
+    if d_star > RETURN_RADIUS:
         return None
     chart = first.chart
     tan0 = _tangent_in_chart(first, cd, chart)
@@ -551,9 +550,7 @@ def _closest_approach(
 # self-intersection detection
 # ---------------------------------------------------------------------------
 
-def detect_self_intersections(
-    traj: Trajectory, cd: ConnectionData, max_events: int = 4000, min_angle: float = 0.02
-) -> list[Event]:
+def detect_self_intersections(traj: Trajectory, cd: ConnectionData) -> list[Event]:
     """Transversal crossings of the projected curve on P^1.
 
     Polyline search over the sphere embedding: candidate segment pairs come
@@ -561,13 +558,14 @@ def detect_self_intersections(
     larger than itself, so a spiral's tiny and long segments never share a
     bucket), followed by a local planar (gnomonic) crossing solve and tangents
     from the exact field at interpolated states.  The external angle is
-    measured first; only crossings that pass min_angle pay for the enclosed
-    poles, found by winding numbers in a rotated chart that keeps the loop
-    away from infinity.
+    measured first; only crossings that pass MIN_CROSSING_ANGLE pay for the
+    enclosed poles, found by winding numbers in a rotated chart that keeps
+    the loop away from infinity.  At most MAX_CROSSINGS candidates, the
+    earliest first, are refined.
 
-    Crossings with |external angle| below min_angle are discarded: chords of
-    a tightening spiral cross even when the curve does not, and genuinely
-    tangential returns are the closed-return detector's business.
+    Crossings with |external angle| below MIN_CROSSING_ANGLE are discarded:
+    chords of a tightening spiral cross even when the curve does not, and
+    genuinely tangential returns are the closed-return detector's business.
     """
     samples = traj.samples
     if len(samples) < 3:
@@ -582,11 +580,11 @@ def detect_self_intersections(
     raw.sort()
     sphere = np.array(pts)
     events: list[Event] = []
-    for t1, t2, i, j in raw[:max_events]:
+    for t1, t2, i, j in raw[:MAX_CROSSINGS]:
         gap = 1.5 * max(times[i + 1] - times[i], times[j + 1] - times[j])
         if any(abs(prev.t1 - t1) < gap and abs(prev.t2 - t2) < gap for prev in events):
             continue
-        ev = _crossing_event(samples, times, sphere, cd, t1, t2, min_angle)
+        ev = _crossing_event(samples, times, sphere, cd, t1, t2, MIN_CROSSING_ANGLE)
         if ev is not None:
             events.append(ev)
     _mark_simple(events)
@@ -794,10 +792,7 @@ def _crossing_event(
     )
     residual = None
     if res_sum is not None and resolved:
-        # a negatively oriented loop satisfies the identity after reversal,
-        # which flips the sign of the vertex angle
-        eff = angle if orient >= 0 else -angle
-        residual = abs(_wrap_angle(eff - 2 * math.pi * (1 + res_sum.real)))
+        residual = _gauss_bonnet_residual(angle, res_sum, orient)
     return Event(
         kind=EV_CROSSING,
         t=t2,
@@ -810,6 +805,14 @@ def _crossing_event(
         angle_residual=residual,
         resolved=resolved,
     )
+
+
+def _gauss_bonnet_residual(angle: float, res_sum: complex, orient: int) -> float:
+    """|vertex angle - 2 pi (1 + Re sum Res)| of a loop, wrapped to [0, pi]."""
+    # a negatively oriented loop satisfies the identity after reversal,
+    # which flips the sign of the vertex angle
+    eff = angle if orient >= 0 else -angle
+    return abs(_wrap_angle(eff - 2 * math.pi * (1 + res_sum.real)))
 
 
 def _locate_state(
@@ -956,12 +959,12 @@ class LoopMultiplier:
 
 
 def loop_multiplier(
-    traj: Trajectory, t1: float, t2: float, cd: ConnectionData, tol: float = 5e-2
+    traj: Trajectory, t1: float, t2: float, cd: ConnectionData
 ) -> LoopMultiplier:
     """sigma'(t2)/sigma'(t1) for a loop, against exp(-2 pi i sum Res)."""
     s1 = _locate_state(traj.samples, cd, t1)
     s2 = _locate_state(traj.samples, cd, t2)
-    if chordal(s1.sphere(), s2.sphere()) > tol:
+    if chordal(s1.sphere(), s2.sphere()) > LOOP_CLOSURE_TOL:
         raise ValueError("loop endpoints do not coincide within tolerance")
     chart = s1.chart
     m_measured = _tangent_in_chart(s2, cd, chart) / _tangent_in_chart(s1, cd, chart)
@@ -1027,7 +1030,7 @@ def classify_omega_limit(
             ]
             extra["simple_loop_residue_sums"] = windows
             return OMEGA_INFINITE, None, extra
-    acc = _accumulation_test(traj, cd, cfg)
+    acc = _accumulation_test(traj, cd)
     if acc is not None:
         extra.update(acc)
         return OMEGA_ACC_CLOSED, None, extra
@@ -1038,9 +1041,7 @@ def classify_omega_limit(
     return OMEGA_UNDETERMINED, None, extra
 
 
-def _accumulation_test(
-    traj: Trajectory, cd: ConnectionData, cfg: IntegratorConfig
-) -> Optional[dict]:
+def _accumulation_test(traj: Trajectory, cd: ConnectionData) -> Optional[dict]:
     """Detect late-time convergence to the support of a closed loop.
 
     Uses a section through a late reference point: consecutive near-returns
@@ -1104,8 +1105,7 @@ def _accumulation_test(
             _loop_points(traj, t_a, t_b), cd
         )
         if res_sum is not None and resolved:
-            eff = angle if orient >= 0 else -angle
-            residual = abs(_wrap_angle(eff - 2 * math.pi * (1 + res_sum.real)))
+            residual = _gauss_bonnet_residual(angle, res_sum, orient)
     return {
         "late_loop_hausdorff": hd[-1],
         "late_loop_gap": gaps[-1],

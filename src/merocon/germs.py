@@ -49,16 +49,14 @@ class LocalGerm:
         return self.hx.n
 
     @staticmethod
-    def from_series(
-        x: TruncSeries, y: Optional[TruncSeries], tol: float = DEFAULT_TOL
-    ) -> "LocalGerm":
+    def from_series(x: TruncSeries, y: Optional[TruncSeries]) -> "LocalGerm":
         """Build a germ from raw X, Y series, detecting vanishing orders."""
-        mu_x, hx = _split_order_abs(x, tol * max(abs(c) for c in x.c))
+        mu_x, hx = _split_order_abs(x, DEFAULT_TOL * max(abs(c) for c in x.c))
         if mu_x is None or mu_x < 1:
             raise ValueError("X must vanish at the singular point but not identically")
         if y is None:
             return LocalGerm(mu_x, hx, None, None)
-        mu_y, hy = _split_order_abs(y, tol * max(abs(c) for c in y.c))
+        mu_y, hy = _split_order_abs(y, DEFAULT_TOL * max(abs(c) for c in y.c))
         if mu_y is None:
             return LocalGerm(mu_x, hx, None, None)
         return LocalGerm(mu_x, hx, mu_y, hy)
@@ -110,7 +108,7 @@ def _resonance_data(mu_y: int, rho: complex) -> tuple[bool, Optional[int], bool]
     return False, None, warn
 
 
-def classify(germ: LocalGerm, tol: float = DEFAULT_TOL) -> SingularityReport:
+def classify(germ: LocalGerm) -> SingularityReport:
     """Classify a germ as apparent / Fuchsian / irregular.
 
     Classes by comparison of vanishing orders: apparent when mu_x <= mu_y
@@ -258,7 +256,7 @@ def _compose_changes(
 # ---------------------------------------------------------------------------
 
 def normalize_formal(
-    germ: LocalGerm, order: Optional[int] = None, tol: float = DEFAULT_TOL
+    germ: LocalGerm, order: Optional[int] = None
 ) -> tuple[LocalGerm, SingularityReport, tuple[TruncSeries, TruncSeries]]:
     """Bring a Fuchsian or irregular germ to formal normal form.
 
@@ -275,7 +273,7 @@ def normalize_formal(
     one.  The resonant index is read off at the (low) resonant degree and is
     unaffected by that growth.
     """
-    rep = classify(germ, tol)
+    rep = classify(germ)
     if rep.sing_class == APPARENT:
         raise ValueError("normalization scheme applies to Fuchsian or irregular germs")
     n_res = rep.resonance_degree
@@ -333,7 +331,7 @@ def normalize_formal(
     res_index = None
     if n_res is not None:
         res_index = g.hy.c[n_res] / g.hy.c[0]
-    final = replace(classify(g, tol), resonant_index=res_index)
+    final = replace(classify(g), resonant_index=res_index)
     return g, final, total
 
 
@@ -358,13 +356,13 @@ def normal_form_residuals(germ: LocalGerm, report: SingularityReport) -> float:
 # apparent singularities
 # ---------------------------------------------------------------------------
 
-def apparent_index(germ: LocalGerm, tol: float = DEFAULT_TOL) -> Optional[complex]:
+def apparent_index(germ: LocalGerm) -> Optional[complex]:
     """Invariant of an apparent germ of order > 1 (None when order is 1).
 
     First removes Y by the gauge xi solving xi' = z^(mu_y - mu_x) hy/hx xi,
     then reads the invariant off the residue of dz/X for the reduced X.
     """
-    rep = classify(germ, tol)
+    rep = classify(germ)
     if rep.sing_class != APPARENT:
         raise ValueError("apparent index is defined for apparent germs only")
     mu = germ.mu_x

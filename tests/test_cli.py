@@ -2,6 +2,9 @@ import json
 
 import pytest
 
+import merocon.atlas
+import merocon.cli
+import merocon.fields
 from merocon.cli import (
     build_report,
     main,
@@ -71,6 +74,21 @@ class TestClassifyCommand:
         q = parse_field_file(three_thirds_file)
         report = build_report(q)
         assert json.loads(json.dumps(report)) == report
+
+    def test_report_builds_connection_data_once(self, three_thirds_file, monkeypatch):
+        calls = {"connection_data": 0, "monodromy_info": 0}
+        for name in calls:
+
+            def counted(*args, _name=name, _fn=getattr(merocon.fields, name)):
+                calls[_name] += 1
+                return _fn(*args)
+
+            for module in (merocon.fields, merocon.atlas, merocon.cli):
+                monkeypatch.setattr(module, name, counted)
+        report = build_report(parse_field_file(three_thirds_file))
+        assert report["atlas"]["label"]["name"] == "C3rhotau1"
+        # one monodromy_info for the report, one for the atlas dossier
+        assert calls == {"connection_data": 1, "monodromy_info": 2}
 
     def test_dicritical_reduced_report(self, tmp_path, capsys):
         path = write_field(tmp_path, "dic.json", 2, (1, 0, 0), (0, 1, 0))

@@ -357,12 +357,18 @@ class TestEvents:
             assert abs(r + 1) > 1e-2
 
 
-def reference_crossings(traj, cd, max_events=4000, min_angle=0.02):
+def reference_crossings(traj, cd):
     """detect_self_intersections with the reach test run on every pair.
 
     Enclosure runs for every crossing, and the angle filter afterwards.
     """
-    from merocon.flow import _crossing_event, _mark_simple, _segment_crossing
+    from merocon.flow import (
+        MAX_CROSSINGS,
+        MIN_CROSSING_ANGLE,
+        _crossing_event,
+        _mark_simple,
+        _segment_crossing,
+    )
 
     samples = traj.samples
     pts = [s.sphere() for s in samples]
@@ -382,12 +388,12 @@ def reference_crossings(traj, cd, max_events=4000, min_angle=0.02):
                 raw.append((got[0], got[1], i, j))
     raw.sort()
     events = []
-    for t1, t2, i, j in raw[:max_events]:
+    for t1, t2, i, j in raw[:MAX_CROSSINGS]:
         gap = 1.5 * max(times[i + 1] - times[i], times[j + 1] - times[j])
         if any(abs(e.t1 - t1) < gap and abs(e.t2 - t2) < gap for e in events):
             continue
         ev = _crossing_event(samples, times, np.array(pts), cd, t1, t2, 0.0)
-        if ev is not None and abs(ev.external_angle) >= min_angle:
+        if ev is not None and abs(ev.external_angle) >= MIN_CROSSING_ANGLE:
             events.append(ev)
     _mark_simple(events)
     return events
