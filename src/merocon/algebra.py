@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -371,9 +372,37 @@ class RatFn:
 # truncated power series
 # ---------------------------------------------------------------------------
 
+def _mul(a: Sequence[complex], b: Sequence[complex], n: int) -> list[complex]:
+    """Coefficients 0..n of a*b; zeros of a and leading zeros of b cost nothing."""
+    out = [0j] * (n + 1)
+    lo = next((j for j, bj in enumerate(b) if bj), n + 1)
+    for i, ai in enumerate(a[: n + 1 - lo]):
+        if ai:
+            for j, bj in enumerate(b[lo: n + 1 - i], i + lo):
+                out[j] += ai * bj
+    return out
+
+
+def _inverse_power(a: complex, step: int, r: int, k: int) -> list[complex]:
+    """[t^j] s(t)^r for j <= k, where z s(z^step) inverts z + a z^(step+1).
+
+    Lagrange inversion: r / (j step + r) C(j (step+1) + r - 1, j) (-a)^j.
+    """
+    if r == 0:
+        return [1.0 + 0j] + [0j] * k
+    return [
+        r / (j * step + r) * math.comb(j * (step + 1) + r - 1, j) * (-a) ** j
+        for j in range(k + 1)
+    ]
+
+
 @dataclass(frozen=True)
 class TruncSeries:
-    """Formal power series truncated at degree n (coefficients 0..n)."""
+    """Formal power series truncated at degree n (coefficients 0..n).
+
+    The constructor checks and coerces its input; the arithmetic builds its
+    results through ``_raw`` from tuples that are already complex.
+    """
 
     n: int
     c: Coeffs
@@ -385,11 +414,17 @@ class TruncSeries:
             raise ValueError(f"need {self.n + 1} coefficients, got {len(self.c)}")
         object.__setattr__(self, "c", tuple(complex(x) for x in self.c))
 
+    @classmethod
+    def _raw(cls, n: int, c: Sequence[complex]) -> "TruncSeries":
+        s = object.__new__(cls)
+        object.__setattr__(s, "n", n)
+        object.__setattr__(s, "c", tuple(c))
+        return s
+
     @staticmethod
     def from_coeffs(c: Sequence[complex], n: int) -> "TruncSeries":
-        cc = list(c)[: n + 1]
-        cc += [0j] * (n + 1 - len(cc))
-        return TruncSeries(n, tuple(cc))
+        cc = tuple(c)[: n + 1]
+        return TruncSeries(n, cc + (0j,) * (n + 1 - len(cc)))
 
     @staticmethod
     def const(value: complex, n: int) -> "TruncSeries":
@@ -400,88 +435,101 @@ class TruncSeries:
         return TruncSeries.from_coeffs([0j, 1.0 + 0j], n)
 
     def truncate(self, n: int) -> "TruncSeries":
-        return TruncSeries.from_coeffs(self.c, n)
+        return TruncSeries._raw(n, self.c[: n + 1] + (0j,) * (n - self.n))
 
     def add(self, other: "TruncSeries") -> "TruncSeries":
-        n = min(self.n, other.n)
-        return TruncSeries(n, tuple(self.c[k] + other.c[k] for k in range(n + 1)))
+        return TruncSeries._raw(min(self.n, other.n), map(operator.add, self.c, other.c))
 
     def sub(self, other: "TruncSeries") -> "TruncSeries":
-        n = min(self.n, other.n)
-        return TruncSeries(n, tuple(self.c[k] - other.c[k] for k in range(n + 1)))
+        return TruncSeries._raw(min(self.n, other.n), map(operator.sub, self.c, other.c))
 
     def scale(self, s: complex) -> "TruncSeries":
-        return TruncSeries(self.n, tuple(s * x for x in self.c))
+        return TruncSeries._raw(self.n, [s * x for x in self.c])
 
     def mul(self, other: "TruncSeries") -> "TruncSeries":
         n = min(self.n, other.n)
-        out = [0j] * (n + 1)
-        for i in range(n + 1):
-            ai = self.c[i]
-            if ai == 0:
-                continue
-            for j in range(n + 1 - i):
-                out[i + j] += ai * other.c[j]
-        return TruncSeries(n, tuple(out))
+        return TruncSeries._raw(n, _mul(self.c, other.c, n))
 
     def recip(self) -> "TruncSeries":
-        if self.c[0] == 0:
+        c = self.c
+        if c[0] == 0:
             raise ValueError("reciprocal needs a nonzero constant term")
-        inv0 = 1.0 / self.c[0]
-        out = [inv0] + [0j] * self.n
+        out = [1.0 / c[0]]
         for k in range(1, self.n + 1):
-            s = 0j
-            for j in range(1, k + 1):
-                s += self.c[j] * out[k - j]
-            out[k] = -inv0 * s
-        return TruncSeries(self.n, tuple(out))
+            out.append(-out[0] * sum(map(operator.mul, c[1 : k + 1], out[::-1]), 0j))
+        return TruncSeries._raw(self.n, out)
 
     def compose(self, inner: "TruncSeries") -> "TruncSeries":
-        """self(inner(z)); the inner series must have zero constant term."""
+        """self(inner(z)); the inner series must have zero constant term.
+
+        An inner z + h with h = O(z^p), p >= 2, takes the Taylor sum
+        f(z + h) = sum_k f^(k)(z) h^k / k!, which has n/p terms (Brent and
+        Kung 1978); any other inner series takes a Horner pass.
+        """
         if inner.c[0] != 0:
             raise ValueError("composition needs inner constant term exactly zero")
         n = min(self.n, inner.n)
-        acc = TruncSeries.const(self.c[n], n)
-        g = inner.truncate(n)
+        f, g = self.c[: n + 1], inner.c[: n + 1]
+        if n >= 2 and g[1] == 1:
+            h = (0j, 0j) + g[2:]
+            p = next((j for j, hj in enumerate(h) if hj), n + 1)
+            # Horner in h over the Taylor terms; the k-th needs degrees <= n - k p
+            acc = [0j]
+            for k in range(n // p, -1, -1):
+                top = n - k * p
+                taylor = [math.comb(j + k, k) * f[j + k] for j in range(top + 1)]
+                acc = list(map(operator.add, taylor, _mul(h, acc, top)))
+            return TruncSeries._raw(n, acc)
+        acc = [f[n]]
         for k in range(n - 1, -1, -1):
-            acc = acc.mul(g)
-            acc = TruncSeries(n, (acc.c[0] + self.c[k],) + acc.c[1:])
-        return acc
+            acc = _mul(g, acc, n)
+            acc[0] += f[k]
+        return TruncSeries._raw(n, acc)
 
     def deriv(self) -> "TruncSeries":
         if self.n == 0:
-            return TruncSeries(0, (0j,))
-        return TruncSeries(self.n - 1, tuple((k + 1) * self.c[k + 1] for k in range(self.n)))
+            return TruncSeries._raw(0, (0j,))
+        return TruncSeries._raw(self.n - 1, [k * x for k, x in enumerate(self.c[1:], 1)])
 
     def pow_int(self, p: int) -> "TruncSeries":
         if p < 0:
             return self.recip().pow_int(-p)
-        acc = TruncSeries.const(1.0 + 0j, self.n)
-        base = self
+        acc, base = TruncSeries._raw(self.n, (1.0 + 0j,) + (0j,) * self.n), self
         while p:
             if p & 1:
                 acc = acc.mul(base)
-            base = base.mul(base)
             p >>= 1
+            if p:
+                base = base.mul(base)
         return acc
 
     def reversion(self) -> "TruncSeries":
-        """Compositional inverse of a series with c0 = 0, c1 != 0."""
-        if self.c[0] != 0:
+        """Compositional inverse of a series with c0 = 0, c1 != 0.
+
+        b z + a z^m inverts in closed form (``_inverse_power`` at w / b);
+        any other series by Newton doubling, g <- g - (f(g) - z) / f'(g),
+        which doubles the correct degrees per pass (Brent and Kung 1978).
+        """
+        c, n = self.c, self.n
+        if c[0] != 0:
             raise ValueError("reversion needs zero constant term")
-        if self.c[1] == 0:
+        if c[1] == 0:
             raise ValueError("reversion needs a nonzero linear term")
-        n = self.n
-        inv1 = 1.0 / self.c[1]
-        g = TruncSeries.from_coeffs([0j, inv1], n)
-        # f(g) = z  =>  g = (z - (f - c1 z)(g)) / c1; each pass gains a degree
-        tail = TruncSeries(n, tuple(0j if k <= 1 else self.c[k] for k in range(n + 1)))
-        ident = TruncSeries.identity(n)
-        for _ in range(n):
-            g_new = ident.sub(tail.compose(g)).scale(inv1)
-            if g_new.c == g.c:
-                break
-            g = g_new
+        b = c[1]
+        tail = [m for m in range(2, n + 1) if c[m]]
+        if len(tail) <= 1:
+            m = tail[0] if tail else n + 1
+            s = _inverse_power(c[m] / b if tail else 0j, m - 1, 1, (n - 1) // (m - 1))
+            out = [0j] * (n + 1)
+            for k, x in enumerate(s):
+                out[k * (m - 1) + 1] = x / b ** (k * (m - 1) + 1)
+            return TruncSeries._raw(n, out)
+        df = self.deriv()
+        g = TruncSeries._raw(1, (0j, 1.0 / b))  # exact through degree g.n
+        while g.n < n:
+            g = g.truncate(min(2 * g.n + 1, n))
+            err = self.truncate(g.n).compose(g).sub(TruncSeries.identity(g.n))
+            g = g.sub(err.mul(df.truncate(g.n).compose(g).recip()))
         return g
 
     def eval(self, z: complex) -> complex:
@@ -490,11 +538,7 @@ class TruncSeries:
 
 def solve_linear_series_ode(w: TruncSeries, y0: complex = 1.0 + 0j) -> TruncSeries:
     """Series solution of y' = w*y with y(0) = y0."""
-    n = w.n
-    out = [complex(y0)] + [0j] * n
-    for k in range(n):
-        s = 0j
-        for i in range(k + 1):
-            s += w.c[i] * out[k - i]
-        out[k + 1] = s / (k + 1)
-    return TruncSeries(n, tuple(out))
+    out = [complex(y0)]
+    for k in range(w.n):
+        out.append(sum(map(operator.mul, w.c[: k + 1], reversed(out)), 0j) / (k + 1))
+    return TruncSeries._raw(w.n, out)

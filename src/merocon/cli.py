@@ -686,12 +686,15 @@ def cmd_atlas(args) -> int:
     field = parse_field_file(args.field)
     if field.nu != 1:
         raise InputError("the atlas covers quadratic fields only")
+    # built once for both calls; a dicritical field has none, and the
+    # dossier reports that with the error connection_data raises
+    cd = None if is_dicritical(field) else connection_data(field)
     try:
-        rep = classify_quadratic(field)
+        rep = classify_quadratic(field, cd)
     except AtlasClassificationError as exc:
         print(json.dumps({"error": str(exc)}, indent=2))
         return EXIT_FAIL
-    dossier = _jsonify(dynamics_dossier(rep, field))
+    dossier = _jsonify(dynamics_dossier(rep, field, cd))
     print(json.dumps(dossier, indent=2))
     return EXIT_OK
 

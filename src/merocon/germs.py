@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .algebra import DEFAULT_TOL, TruncSeries, solve_linear_series_ode
+from .algebra import DEFAULT_TOL, TruncSeries, _inverse_power, solve_linear_series_ode
 
 APPARENT = "apparent"
 FUCHSIAN = "fuchsian"
@@ -62,9 +62,7 @@ class LocalGerm:
         return LocalGerm(mu_x, hx, mu_y, hy)
 
 
-def _split_order_abs(
-    s: TruncSeries, cut: float
-) -> tuple[Optional[int], Optional[TruncSeries]]:
+def _split_order_abs(s: TruncSeries, cut: float) -> tuple[Optional[int], Optional[TruncSeries]]:
     mu = next((k for k, c in enumerate(s.c) if abs(c) > cut), None)
     if mu is None:
         return None, None
@@ -92,9 +90,7 @@ def germ_residue(germ: LocalGerm) -> complex:
     """Residue at 0 of the connection form (Y/X) dz."""
     if germ.hy is None or germ.mu_y >= germ.mu_x:
         return 0j
-    m = germ.mu_x - germ.mu_y
-    quot = germ.hy.mul(germ.hx.recip())
-    return quot.c[m - 1]
+    return germ.hy.mul(germ.hx.recip()).c[germ.mu_x - germ.mu_y - 1]
 
 
 def _resonance_data(mu_y: int, rho: complex) -> tuple[bool, Optional[int], bool]:
@@ -117,70 +113,27 @@ def classify(germ: LocalGerm) -> SingularityReport:
     connection residue in the Fuchsian case; irregular germs always carry
     the invariant ratio residue/rho as their resonant index.
     """
-    mu_x = germ.mu_x
-    if germ.hy is None:
+    mu_x, mu_y = germ.mu_x, germ.mu_y
+    rho = 0j if germ.hy is None else germ.hy.c[0] / germ.hx.c[0]
+    base = dict(
+        degenerate=germ.hy is None or mu_y >= 1, mu_x=mu_x, mu_y=mu_y, rho=rho, apparent_index=None
+    )
+    if germ.hy is None or mu_x <= mu_y:
         return SingularityReport(
-            sing_class=APPARENT,
-            degenerate=True,
-            mu_x=mu_x,
-            mu_y=None,
-            rho=0j,
-            irregularity=None,
-            residue=0j,
-            resonant=False,
-            resonance_degree=None,
-            resonant_index=None,
-            apparent_index=None,
-            mu_y_chart_dependent=True,
-        )
-    mu_y = germ.mu_y
-    rho = germ.hy.c[0] / germ.hx.c[0]
-    degenerate = mu_y >= 1
-    if mu_x <= mu_y:
-        return SingularityReport(
-            sing_class=APPARENT,
-            degenerate=degenerate,
-            mu_x=mu_x,
-            mu_y=mu_y,
-            rho=rho,
-            irregularity=None,
-            residue=0j,
-            resonant=False,
-            resonance_degree=None,
-            resonant_index=None,
-            apparent_index=None,
-            mu_y_chart_dependent=True,
+            APPARENT, irregularity=None, residue=0j, resonant=False, resonance_degree=None,
+            resonant_index=None, mu_y_chart_dependent=True, **base,
         )
     residue = germ_residue(germ)
-    if mu_x == mu_y + 1:
+    m = mu_x - mu_y
+    if m == 1:
         resonant, n, warn = _resonance_data(mu_y, rho)
         return SingularityReport(
-            sing_class=FUCHSIAN,
-            degenerate=degenerate,
-            mu_x=mu_x,
-            mu_y=mu_y,
-            rho=rho,
-            irregularity=None,
-            residue=residue,
-            resonant=resonant,
-            resonance_degree=n,
-            resonant_index=None,
-            apparent_index=None,
-            near_resonance_warning=warn,
+            FUCHSIAN, irregularity=None, residue=residue, resonant=resonant, resonance_degree=n,
+            resonant_index=None, near_resonance_warning=warn, **base,
         )
-    m = mu_x - mu_y
     return SingularityReport(
-        sing_class=IRREGULAR,
-        degenerate=degenerate,
-        mu_x=mu_x,
-        mu_y=mu_y,
-        rho=rho,
-        irregularity=m,
-        residue=residue,
-        resonant=True,
-        resonance_degree=m - 1,
-        resonant_index=residue / rho,
-        apparent_index=None,
+        IRREGULAR, irregularity=m, residue=residue, resonant=True, resonance_degree=m - 1,
+        resonant_index=residue / rho, **base,
     )
 
 
@@ -199,21 +152,19 @@ def transform_germ(germ: LocalGerm, psi: TruncSeries, xi: TruncSeries) -> LocalG
     if xi.c[0] == 0:
         raise ValueError("xi must be a unit")
     n = germ.order
-    psi = psi.truncate(n)
-    xi = xi.truncate(n)
+    psi, xi = psi.truncate(n), xi.truncate(n)
     psi_inv = psi.reversion()
     # unit factor of psi_inv: psi_inv = z * pi_unit
     pi_unit = TruncSeries.from_coeffs(psi_inv.c[1:], n)
     xi_rec = xi.recip()
-    dpsi = TruncSeries.from_coeffs(psi.deriv().c, n)
+    dpsi = psi.deriv().truncate(n)
     a = dpsi.mul(germ.hx).mul(xi_rec)
     hx_new = pi_unit.pow_int(germ.mu_x).mul(a.compose(psi_inv))
-    dxi = TruncSeries.from_coeffs(xi.deriv().c, n)
+    dxi = xi.deriv().truncate(n)
     if germ.hy is None:
         # Y' = -(xi'/xi^2) X, order >= mu_x
         t = dxi.mul(xi_rec).mul(xi_rec).mul(germ.hx).scale(-1)
-        ref = max(abs(c) for c in germ.hx.c)
-        mu, unit = _split_order_abs(t, 1e-13 * ref)
+        mu, unit = _split_order_abs(t, 1e-13 * max(abs(c) for c in germ.hx.c))
         if mu is None:
             return LocalGerm(germ.mu_x, hx_new, None, None)
         total = germ.mu_x + mu
@@ -222,8 +173,8 @@ def transform_germ(germ: LocalGerm, psi: TruncSeries, xi: TruncSeries) -> LocalG
     mu_base = min(germ.mu_y, germ.mu_x)
     # combined series at base order mu_base:
     #   z^(mu_y - mu_base) hy/xi - z^(mu_x - mu_base) (xi'/xi^2) hx
-    term1 = _shift_up(germ.hy.mul(xi_rec), germ.mu_y - mu_base, n)
-    term2 = _shift_up(dxi.mul(xi_rec).mul(xi_rec).mul(germ.hx), germ.mu_x - mu_base, n)
+    term1 = _spread(germ.hy.mul(xi_rec), n, at=germ.mu_y - mu_base)
+    term2 = _spread(dxi.mul(xi_rec).mul(xi_rec).mul(germ.hx), n, at=germ.mu_x - mu_base)
     comb = term1.sub(term2)
     if germ.mu_y < germ.mu_x:
         # leading coefficient b0/xi(0) cannot cancel: order is preserved
@@ -238,17 +189,41 @@ def transform_germ(germ: LocalGerm, psi: TruncSeries, xi: TruncSeries) -> LocalG
     return LocalGerm(germ.mu_x, hx_new, mu_y_new, hy_new)
 
 
-def _shift_up(s: TruncSeries, k: int, n: int) -> TruncSeries:
-    return TruncSeries.from_coeffs((0j,) * k + s.c, n)
+def _spread(f: TruncSeries, n: int, step: int = 1, at: int = 0) -> TruncSeries:
+    """z^at f(z^step), truncated at degree n; f has a coefficient for every slot."""
+    out = [0j] * (n + 1)
+    out[at::step] = f.c[: len(out[at::step])]
+    return TruncSeries._raw(n, out)
 
 
-def _compose_changes(
-    first: tuple[TruncSeries, TruncSeries], second: tuple[TruncSeries, TruncSeries]
+def _eliminate(
+    hx: TruncSeries, hy: TruncSeries, mu_x: int, m: int, n: int, c1: complex, c2: complex
 ) -> tuple[TruncSeries, TruncSeries]:
-    """Composite of (psi1, xi1) followed by (psi2, xi2)."""
-    psi1, xi1 = first
-    psi2, xi2 = second
-    return psi2.compose(psi1), xi2.compose(psi1).mul(xi1)
+    """``transform_germ`` for the step change (z + c1 z^(n+1), 1 + c2 z^n).
+
+    With u = z s(z^n) the inverse of z + c1 z^(n+1), t = z^n and
+    mu_y = mu_x - m, the components become
+      hx' = hx(u) s^mu_x (1 + (n+1) c1 t s^n) / xi(u),
+      hy' = hy(u) s^mu_y / xi(u) - n c2 z^(n+m-1) hx(u) s^(n-1+mu_x) / xi(u)^2,
+    where xi(u) = 1 + c2 t s^n.  The powers of s have closed forms and every
+    factor but hx(u), hy(u) is a series in t with N/n terms, formed in t and
+    spread out; degrees below n do not move.
+    """
+    big_n = hx.n
+    k = big_n // n
+
+    def power(r: int) -> TruncSeries:
+        return TruncSeries._raw(k, _inverse_power(c1, n, r, k))
+
+    rec = TruncSeries._raw(k, (1.0 + 0j,) + _spread(power(n).scale(c2), k, at=1).c[1:]).recip()
+    fy = power(mu_x - m).mul(rec)
+    fx = power(mu_x).add(_spread(power(mu_x + n), k, at=1).scale((n + 1) * c1)).mul(rec)
+    fz = power(n - 1 + mu_x).mul(rec).mul(rec).scale(n * c2)
+    u = _spread(power(1), big_n, n, at=1)
+    hx_u, hy_u = hx.compose(u), hy.compose(u)
+    hx_new = _spread(fx, big_n, n).mul(hx_u)
+    hy_new = _spread(fy, big_n, n).mul(hy_u).sub(_spread(fz, big_n, n, n + m - 1).mul(hx_u))
+    return hx_new, hy_new
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +239,8 @@ def normalize_formal(
     (1 + c2 z^n) v): away from the resonant degree the 2x2 linear system for
     (c1, c2) kills the degree-n coefficients of both components; at the
     resonant degree only the X coefficient can be killed and the surviving
-    Y coefficient is the resonant index.  Returns the normalized germ, its
+    Y coefficient is the resonant index.  Step n moves only degrees >= n of
+    the germ and of the composite change.  Returns the normalized germ, its
     report (resonant index filled in) and the composite change.
 
     Irregular germs are normalized formally only: the transform coefficients
@@ -285,54 +261,34 @@ def normalize_formal(
         )
     # the degree-n change introduces z^(n+1); keep one spare degree
     work_n = max(germ.order, order + 1)
-    g = LocalGerm(
-        germ.mu_x,
-        germ.hx.truncate(work_n),
-        germ.mu_y,
-        germ.hy.truncate(work_n) if germ.hy is not None else None,
-    )
-    ident = TruncSeries.identity(work_n)
-    # leading-coefficient gauge: constant xi = a0 makes hx(0) = 1, rho = hy(0)
-    a0 = g.hx.c[0]
-    total = (ident, TruncSeries.const(a0, work_n))
-    g = transform_germ(g, ident, TruncSeries.const(a0, work_n))
-    mu_x, mu_y = g.mu_x, g.mu_y
+    mu_x, mu_y = germ.mu_x, germ.mu_y
     m = mu_x - mu_y
-    rho = g.hy.c[0]
+    # leading-coefficient gauge: constant xi = a0 makes hx(0) = 1, rho = hy(0)
+    a0 = germ.hx.c[0]
+    hx, hy = (h.truncate(work_n).scale(1.0 / a0) for h in (germ.hx, germ.hy))
+    psi, xi, rho = TruncSeries.identity(work_n), TruncSeries.const(a0, work_n), hy.c[0]
     for n in range(1, order + 1):
-        a_n = g.hx.c[n] if n <= g.hx.n else 0j
-        b_n = g.hy.c[n] if n <= g.hy.n else 0j
+        a_n, b_n = hx.c[n], hy.c[n]
         if n == n_res:
             c1, c2 = 0j, a_n
         else:
-            # rows: (mu_x - n - 1) c1 + c2 = a_n ;  second row per eq. class
-            r11, r12 = complex(mu_x - n - 1), 1.0 + 0j
-            if m == 1:
-                r21, r22 = mu_y * rho, n + rho
-            else:
-                r21, r22 = mu_y * rho, rho
-            det = r11 * r22 - r12 * r21
-            c1 = (a_n * r22 - r12 * b_n) / det
-            c2 = (r11 * b_n - a_n * r21) / det
+            # rows: (mu_x - n - 1) c1 + c2 = a_n ;  mu_y rho c1 + r22 c2 = b_n,
+            # with r22 = n + rho in the Fuchsian class and rho beyond it
+            r11, r21, r22 = complex(mu_x - n - 1), mu_y * rho, (n if m == 1 else 0) + rho
+            det = r11 * r22 - r21
+            c1, c2 = (a_n * r22 - b_n) / det, (r11 * b_n - a_n * r21) / det
         if c1 == 0 and c2 == 0:
             continue
-        psi = TruncSeries.from_coeffs((0j,) * (n + 1) + (c1,), work_n)
-        psi = psi.add(ident)
-        xi = TruncSeries.from_coeffs((1.0 + 0j,) + (0j,) * (n - 1) + (c2,), work_n)
-        g = transform_germ(g, psi, xi)
-        total = _compose_changes(total, (psi, xi))
-    g = LocalGerm(
-        g.mu_x,
-        g.hx.truncate(order),
-        g.mu_y,
-        g.hy.truncate(order) if g.hy is not None else None,
-    )
-    total = (total[0].truncate(order), total[1].truncate(order))
-    res_index = None
-    if n_res is not None:
-        res_index = g.hy.c[n_res] / g.hy.c[0]
+        hx, hy = _eliminate(hx, hy, mu_x, m, n, c1, c2)
+        # (psi, xi) <- (psi + c1 psi^(n+1), xi + c2 psi^n xi), psi = z p
+        p = TruncSeries._raw(work_n - n, psi.c[1: work_n - n + 2])
+        p_n = p.pow_int(n)
+        psi = psi.add(_spread(p_n.mul(p).scale(c1), work_n, at=n + 1))
+        xi = xi.add(_spread(p_n.mul(xi).scale(c2), work_n, at=n))
+    g = LocalGerm(mu_x, hx.truncate(order), mu_y, hy.truncate(order))
+    res_index = None if n_res is None else g.hy.c[n_res] / g.hy.c[0]
     final = replace(classify(g), resonant_index=res_index)
-    return g, final, total
+    return g, final, (psi.truncate(order), xi.truncate(order))
 
 
 def normal_form_residuals(germ: LocalGerm, report: SingularityReport) -> float:
@@ -370,7 +326,7 @@ def apparent_index(germ: LocalGerm) -> Optional[complex]:
         return None
     g = germ
     if g.hy is not None:
-        w = _shift_up(g.hy.mul(g.hx.recip()), g.mu_y - g.mu_x, g.order)
+        w = _spread(g.hy.mul(g.hx.recip()), g.order, at=g.mu_y - g.mu_x)
         xi = solve_linear_series_ode(w)
         g = transform_germ(g, TruncSeries.identity(g.order), xi)
         if g.hy is not None:

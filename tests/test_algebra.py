@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from merocon.algebra import (
     RatFn,
@@ -209,3 +211,155 @@ class TestSeries:
         prod = a.mul(b)
         z = 0.05 + 0.02j
         assert close(prod.eval(z), a.eval(z) * b.eval(z), 1e-6)
+
+
+# ---------------------------------------------------------------------------
+# slow references for the series kernel: plain truncated products, one Horner
+# pass per composition and a fixed-point reversion that gains one degree per
+# pass of composition
+# ---------------------------------------------------------------------------
+
+
+def ref_mul(a, b):
+    n = min(len(a), len(b)) - 1
+    out = [0j] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] += a[i] * b[j]
+    return out
+
+
+def ref_recip(c):
+    out = [1 / c[0]]
+    for k in range(1, len(c)):
+        out.append(-out[0] * sum(c[j] * out[k - j] for j in range(1, k + 1)))
+    return out
+
+
+def ref_compose(f, g):
+    n = min(len(f), len(g)) - 1
+    acc = [f[n]] + [0j] * n
+    for k in range(n - 1, -1, -1):
+        acc = ref_mul(acc, g[: n + 1])
+        acc[0] += f[k]
+    return acc
+
+
+def ref_reversion(f):
+    # f(g) = z  <=>  g = (z - (f - c1 z)(g)) / c1
+    n = len(f) - 1
+    g = [0j, 1 / f[1]] + [0j] * (n - 1)
+    tail = [0j, 0j] + list(f[2:])
+    for _ in range(n):
+        t = ref_compose(tail, g)
+        g = [(float(k == 1) - x) / f[1] for k, x in enumerate(t)]
+    return g
+
+
+def magnitudes(c):
+    return [abs(x) for x in c]
+
+
+def size(c):
+    return max(abs(x) for x in c)
+
+
+def assert_close(got, want, scale, tol=1e-12):
+    """Coefficientwise agreement relative to the size of the summed terms."""
+    assert len(got) == len(want)
+    err = max(abs(a - b) for a, b in zip(got, want))
+    assert err <= tol * max(scale, 1.0), (err, scale)
+
+
+DISK = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+ORDER = st.integers(min_value=0, max_value=24)
+
+
+@st.composite
+def coeffs(draw, n, first=None, decay=0.7):
+    """n + 1 coefficients in the unit disk, shrinking by ``decay`` per degree."""
+    out = [draw(DISK) * decay**k for k in range(n + 1)]
+    if first is not None:
+        out[: len(first)] = first
+    return out
+
+
+@st.composite
+def annulus(draw, lo=0.5):
+    z = draw(DISK)
+    assume(abs(z) >= lo)
+    return z
+
+
+class TestSeriesProperties:
+    @given(st.data(), ORDER)
+    def test_mul_matches_reference(self, data, n):
+        a, b = data.draw(coeffs(n)), data.draw(coeffs(n))
+        got = TruncSeries(n, tuple(a)).mul(TruncSeries(n, tuple(b))).c
+        assert_close(got, ref_mul(a, b), size(ref_mul(magnitudes(a), magnitudes(b))))
+
+    @given(st.data(), ORDER, annulus())
+    def test_recip_matches_reference(self, data, n, c0):
+        c = data.draw(coeffs(n, first=[c0]))
+        want = ref_recip(c)
+        assert_close(TruncSeries(n, tuple(c)).recip().c, want, size(want))
+
+    def check_compose(self, f, g):
+        n = len(f) - 1
+        got = TruncSeries(n, tuple(f)).compose(TruncSeries(n, tuple(g))).c
+        assert_close(got, ref_compose(f, g), size(ref_compose(magnitudes(f), magnitudes(g))))
+
+    @given(st.data(), st.integers(min_value=2, max_value=24))
+    def test_compose_near_identity_inner(self, data, n):
+        p = data.draw(st.integers(min_value=2, max_value=n))
+        g = data.draw(coeffs(n, first=[0j, 1.0 + 0j] + [0j] * (p - 2)))
+        self.check_compose(data.draw(coeffs(n)), g)
+
+    @given(st.data(), st.integers(min_value=1, max_value=24))
+    def test_compose_sparse_outer(self, data, n):
+        degrees = data.draw(st.sets(st.integers(0, n), min_size=1, max_size=2))
+        f = [data.draw(DISK) if k in degrees else 0j for k in range(n + 1)]
+        self.check_compose(f, data.draw(coeffs(n, first=[0j])))
+
+    @given(st.data(), st.integers(min_value=1, max_value=24))
+    def test_compose_general_inner(self, data, n):
+        g = data.draw(coeffs(n, first=[0j]))
+        assume(g[1] != 1)
+        self.check_compose(data.draw(coeffs(n)), g)
+
+    @given(st.data(), st.integers(min_value=1, max_value=24), annulus())
+    def test_reversion_matches_reference(self, data, n, c1):
+        f = data.draw(coeffs(n, first=[0j, c1]))
+        self.check_reversion(f)
+
+    @given(st.data(), st.integers(min_value=2, max_value=24), annulus(), DISK)
+    def test_reversion_of_binomial(self, data, n, b, a):
+        m = data.draw(st.integers(min_value=2, max_value=n))
+        f = [0j] * (n + 1)
+        f[1], f[m] = b, a
+        self.check_reversion(f)
+
+    def check_reversion(self, f):
+        n = len(f) - 1
+        s = TruncSeries(n, tuple(f))
+        g = s.reversion()
+        want = ref_reversion(f)
+        assert_close(g.c, want, size(want))
+        # f(g) = z, measured against the terms of |f|(|g|)
+        ident = [0j, 1.0 + 0j] + [0j] * (n - 1)
+        scale = size(ref_compose(magnitudes(f), magnitudes(g.c)))
+        assert_close(s.compose(g).c, ident, scale)
+
+    @given(ORDER)
+    def test_boundary_validation(self, n):
+        with pytest.raises(ValueError):
+            TruncSeries(n, (0j,) * (n + 2))
+        with pytest.raises(ValueError):
+            TruncSeries(n, (0j,) * n)
+        s = TruncSeries(n, tuple(range(n + 1)))
+        assert all(type(x) is complex for x in s.c)
+        assert s.c == tuple(complex(k) for k in range(n + 1))
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError):
+            TruncSeries(-1, ())

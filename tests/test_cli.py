@@ -256,6 +256,27 @@ class TestAtlasCommand:
         assert dossier["label"]["name"] == "C3rhotau1"
         assert len(dossier["directions"]) == 3
 
+    def test_builds_connection_data_once(self, three_thirds_file, monkeypatch, capsys):
+        calls = []
+        original = merocon.fields.connection_data
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        for module in (merocon.fields, merocon.atlas, merocon.cli):
+            monkeypatch.setattr(module, "connection_data", counted)
+        assert main(["atlas", three_thirds_file]) == 0
+        assert json.loads(capsys.readouterr().out)["label"]["name"] == "C3rhotau1"
+        assert len(calls) == 1
+
+    def test_dicritical_field_is_an_error(self, tmp_path, capsys):
+        path = write_field(tmp_path, "dic.json", 2, (1, 0, 0), (0, 1, 0))
+        assert main(["atlas", path]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: every direction of a dicritical field is characteristic\n"
+
 
 class TestCheckCommand:
     def test_all_pass(self, three_thirds_file, capsys):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -284,3 +285,104 @@ def random_change(rng, n=N):
         n,
     )
     return psi, xi
+
+
+# ---------------------------------------------------------------------------
+# the incremental normalizer against a full-germ reference
+# ---------------------------------------------------------------------------
+
+
+def reference_normalize(germ, order=N):
+    """Slow reference: each degree step pushes the whole germ through
+    ``transform_germ`` and composes the whole change."""
+    n_res = classify(germ).resonance_degree
+    work_n = max(germ.order, order + 1)
+    g = LocalGerm(germ.mu_x, germ.hx.truncate(work_n), germ.mu_y, germ.hy.truncate(work_n))
+    ident = TruncSeries.identity(work_n)
+    gauge = TruncSeries.const(g.hx.c[0], work_n)
+    g, total = transform_germ(g, ident, gauge), (ident, gauge)
+    mu_x, mu_y, rho = g.mu_x, g.mu_y, g.hy.c[0]
+    for n in range(1, order + 1):
+        a_n, b_n = g.hx.c[n], g.hy.c[n]
+        if n == n_res:
+            c1, c2 = 0j, a_n
+        else:
+            r11, r21 = complex(mu_x - n - 1), mu_y * rho
+            r22 = n + rho if mu_x - mu_y == 1 else rho
+            det = r11 * r22 - r21
+            c1, c2 = (a_n * r22 - b_n) / det, (r11 * b_n - a_n * r21) / det
+        if c1 == 0 and c2 == 0:
+            continue
+        psi = TruncSeries.from_coeffs((0j,) * (n + 1) + (c1,), work_n).add(ident)
+        xi = TruncSeries.from_coeffs((1.0 + 0j,) + (0j,) * (n - 1) + (c2,), work_n)
+        g = transform_germ(g, psi, xi)
+        total = (psi.compose(total[0]), xi.compose(total[0]).mul(total[1]))
+    g = LocalGerm(g.mu_x, g.hx.truncate(order), g.mu_y, g.hy.truncate(order))
+    index = None if n_res is None else g.hy.c[n_res] / g.hy.c[0]
+    rep = replace(classify(g), resonant_index=index)
+    return g, rep, (total[0].truncate(order), total[1].truncate(order))
+
+
+def unit_tail(rng, lead):
+    return [lead] + [0.25 * complex(rng.gauss(0, 1), rng.gauss(0, 1)) * 0.5**j for j in range(4)]
+
+
+def acceptance_09_mix(rng, count):
+    """Non-resonant and resonant Fuchsian round trips and irregular germs in
+    equal shares, with mu_x = 1, 2, 3 in turn."""
+    for k in range(count):
+        mu_x, kind = k // 3 % 3 + 1, k % 3
+        mu_y = mu_x - 1
+        if kind == 2:
+            m, lead = rng.randint(2, 3), complex(rng.uniform(0.5, 2), rng.uniform(-1, 1))
+            yield monomial_germ(mu_y + m, unit_tail(rng, 1.0 + 0j), mu_y, unit_tail(rng, lead))
+            continue
+        if kind == 1:
+            n_res = rng.choice([n for n in range(1, 4) if n != mu_y])
+            rho = complex(mu_y - n_res)
+            y = [rho] + [0j] * (n_res - 1) + [rho * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))]
+        else:
+            y = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) + 0.5 + 0.7j]
+        yield transform_germ(monomial_germ(mu_x, [1], mu_y, y), *random_change(rng))
+
+
+class TestIncrementalNormalizer:
+    def test_matches_full_germ_reference(self):
+        # the normalized coefficients are differences of terms as large as
+        # the change's coefficients, which grow factorially for irregular
+        # germs; they are compared relative to that size
+        for germ in acceptance_09_mix(random.Random(909), 48):
+            gn, rep, (psi, xi) = normalize_formal(germ, order=N)
+            rn, rrep, (rpsi, rxi) = reference_normalize(germ, order=N)
+            assert (rep.sing_class, rep.mu_x, rep.mu_y) == (rrep.sing_class, rrep.mu_x, rrep.mu_y)
+            assert rep.resonance_degree == rrep.resonance_degree
+            assert abs(rep.rho - rrep.rho) <= 1e-10 * abs(rrep.rho)
+            if rrep.resonant_index is not None:
+                assert abs(rep.resonant_index - rrep.resonant_index) <= 1e-10 * max(
+                    1.0, abs(rrep.resonant_index)
+                )
+            scale = max(1.0, *(abs(c) for c in rpsi.c + rxi.c))
+            for got, want in ((gn.hx, rn.hx), (gn.hy, rn.hy), (psi, rpsi), (xi, rxi)):
+                assert max(abs(a - b) for a, b in zip(got.c, want.c)) <= 1e-10 * scale
+
+    def test_transform_with_general_psi(self):
+        # c1(psi) != 1 takes the Horner composition and the Newton reversion
+        rng = random.Random(17)
+        psi = TruncSeries.from_coeffs(
+            [0j, 1.3 - 0.4j] + [0.2 * complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(4)],
+            N,
+        )
+        xi = TruncSeries.from_coeffs([0.8 + 0.3j, 0.1j, -0.2, 0.05], N)
+        g = monomial_germ(2, [1, 0.3, -0.2j], 1, [0.6 - 0.1j, 0.4])
+        g1 = transform_germ(g, psi, xi)
+        # X' o psi = psi' X / xi and Y' o psi = Y / xi - (xi' / xi^2) X, at a point
+        z = 0.03 - 0.02j
+        w = psi.eval(z)
+        x, y = z**2 * g.hx.eval(z), z * g.hy.eval(z)
+        xi_z, dxi_z = xi.eval(z), xi.deriv().eval(z)
+        x1, y1 = w**g1.mu_x * g1.hx.eval(w), w**g1.mu_y * g1.hy.eval(w)
+        assert abs(x1 - psi.deriv().eval(z) * x / xi_z) <= 1e-13
+        assert abs(y1 - (y / xi_z - dxi_z / xi_z**2 * x)) <= 1e-13
+        rep0, rep1 = classify(g), classify(g1)
+        assert (rep1.sing_class, rep1.mu_x, rep1.mu_y) == (rep0.sing_class, rep0.mu_x, rep0.mu_y)
+        assert abs(rep1.residue - rep0.residue) <= 1e-12
