@@ -223,15 +223,10 @@ def poly_roots(c: Sequence[complex]) -> list[tuple[complex, int]]:
         lead = body[-1]
         monic = [x / lead for x in body]
         approx = _aberth(monic)
-        clusters = _cluster(approx)
-        merged: list[tuple[complex, int]] = []
-        for grp in clusters:
+        roots_body: list[tuple[complex, int]] = []
+        for grp in _cluster(approx):
             m = len(grp)
-            center = sum(grp) / m
-            merged.append((_polish(monic, center, m), m))
-        # derivative-based upgrade: an m-fold root missed by clustering shows
-        # up as near-vanishing low derivatives at the polished points
-        roots_body = _merge_by_multiplicity(monic, merged)
+            roots_body.append((_polish(monic, sum(grp) / m, m), m))
         for r, m in roots_body:
             res = abs(poly_eval(monic, r))
             bound = 10.0 * DEFAULT_TOL * max(1.0, abs(r)) ** d
@@ -242,42 +237,6 @@ def poly_roots(c: Sequence[complex]) -> list[tuple[complex, int]]:
         roots.extend(roots_body)
     roots.sort(key=lambda rm: (rm[0].real, rm[0].imag))
     return roots
-
-
-def _merge_by_multiplicity(
-    monic: list[complex], merged: list[tuple[complex, int]]
-) -> list[tuple[complex, int]]:
-    der = [list(monic)]
-    for _ in range(len(monic) - 1):
-        der.append(list(poly_deriv(der[-1])))
-    out = list(merged)
-    changed = True
-    while changed and len(out) > 1:
-        changed = False
-        for i, (z, m) in enumerate(out):
-            fact = 1.0
-            mhat = m
-            for k in range(len(der)):
-                if k:
-                    fact *= k
-                dk = abs(poly_eval(der[k], z)) / fact * (1 + abs(z)) ** k
-                if dk > 1e-4:
-                    mhat = k
-                    break
-            if mhat <= m:
-                continue
-            radius = 3.0 * (1e-15) ** (1.0 / mhat) * (1 + abs(z))
-            near = [j for j, (w, _) in enumerate(out) if j != i and abs(w - z) <= radius]
-            if not near:
-                continue
-            total = m + sum(out[j][1] for j in near)
-            pts = [z] * m + [w for j in near for w in [out[j][0]] * out[j][1]]
-            center = sum(pts) / total
-            out = [out[j] for j in range(len(out)) if j != i and j not in near]
-            out.append((_polish(monic, center, total), total))
-            changed = True
-            break
-    return out
 
 
 # ---------------------------------------------------------------------------

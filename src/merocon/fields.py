@@ -132,6 +132,15 @@ def _substitute_linear(
 # points of the projective line
 # ---------------------------------------------------------------------------
 
+def sphere(chart: str, z: complex) -> tuple[float, float, float]:
+    """Unit-sphere image of the point with coordinate z in the given chart."""
+    n = z.real * z.real + z.imag * z.imag
+    d = 1.0 + n
+    if chart == CHART_ZERO:
+        return (2 * z.real / d, 2 * z.imag / d, (n - 1) / d)
+    return (2 * z.real / d, -2 * z.imag / d, (1 - n) / d)
+
+
 def chordal(a: tuple[float, float, float], b: tuple[float, float, float]) -> float:
     """Chordal distance on P^1: half the distance between unit-sphere images."""
     return 0.5 * math.sqrt(
@@ -180,11 +189,7 @@ class ProjPoint:
         return 1.0 / self.coord
 
     def sphere(self) -> tuple[float, float, float]:
-        z = self.coord
-        n = abs(z) ** 2
-        if self.chart == CHART_ZERO:
-            return (2 * z.real / (1 + n), 2 * z.imag / (1 + n), (n - 1) / (1 + n))
-        return (2 * z.real / (1 + n), -2 * z.imag / (1 + n), (1 - n) / (1 + n))
+        return sphere(self.chart, self.coord)
 
     def chordal(self, other: "ProjPoint") -> float:
         return chordal(self.sphere(), other.sphere())

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algebra import poly_eval
-from .fields import CHART_INF, CHART_ZERO, ConnectionData, ProjPoint, chordal
+from .fields import CHART_INF, CHART_ZERO, ConnectionData, ProjPoint, chordal, sphere
 from .germs import APPARENT
 
 # Dormand-Prince 5(4) tableau; the field is autonomous, so the nodes c_i are not needed
@@ -76,15 +76,7 @@ class ChartState:
         return ProjPoint.make(self.chart, self.zeta)
 
     def sphere(self) -> tuple[float, float, float]:
-        return _sphere(self.chart, self.zeta)
-
-
-def _sphere(chart: str, z: complex) -> tuple[float, float, float]:
-    n = z.real * z.real + z.imag * z.imag
-    d = 1.0 + n
-    if chart == CHART_ZERO:
-        return (2 * z.real / d, 2 * z.imag / d, (n - 1) / d)
-    return (2 * z.real / d, -2 * z.imag / d, (1 - n) / d)
+        return sphere(self.chart, self.zeta)
 
 
 @dataclass(frozen=True)
@@ -186,9 +178,7 @@ def unlift(state: ChartState, nu: int) -> tuple[complex, complex]:
 
 def geodesic_rhs(state: ChartState, cd: ConnectionData) -> tuple[complex, complex]:
     x, y = cd.chart_polys(state.chart)
-    xv = poly_eval(x, state.zeta)
-    yv = poly_eval(y, state.zeta) if y else 0j
-    return (xv * state.v, -yv * state.v * state.v)
+    return _rhs3(x, y, state.zeta, state.v)[:2]
 
 
 def _rhs3(
@@ -267,7 +257,7 @@ def integrate(cd: ConnectionData, init: ChartState, cfg: IntegratorConfig) -> Tr
     h = min(cfg.record_stride, 1e-3)
     prev_speed = None
     recent_v: list[float] = [abs(v)]
-    start_sphere = _sphere(chart, z)
+    start_sphere = sphere(chart, z)
     prev_sphere = start_sphere
     excursion = 0.0
     returned_arm = False
@@ -352,25 +342,19 @@ def integrate(cd: ConnectionData, init: ChartState, cfg: IntegratorConfig) -> Tr
             drift = math.inf
         drifts.append(drift)
 
+        state = ChartState(chart, z, v, t)
         if not cd.single_chart and abs(z) > SWITCH_OUT:
-            new_chart = CHART_INF if chart == CHART_ZERO else CHART_ZERO
-            v = z**cd.nu * v
-            z = 1.0 / z
-            chart = new_chart
+            state = chart_transition(state, cd.nu)
+            chart, z, v = state.chart, state.zeta, state.v
             x, y = cd.chart_polys(chart)
             w = 0j
             v_ref = v
             prev_speed = None
             events.append(Event(kind=EV_SWITCH, t=t))
-        samples.append(ChartState(chart, z, v, t))
+        samples.append(state)
 
-        here = _sphere(chart, z)
-        # escape tests
-        if abs(v) > cfg.escape_radius:
-            events.append(Event(kind=EV_ESCAPE, t=t))
-            stop = "escape"
-            break
-        if cd.single_chart and abs(z) > cfg.zeta_escape_radius:
+        here = sphere(chart, z)
+        if abs(v) > cfg.escape_radius or (cd.single_chart and abs(z) > cfg.zeta_escape_radius):
             events.append(Event(kind=EV_ESCAPE, t=t))
             stop = "escape"
             break
@@ -428,8 +412,9 @@ def _hermite(
     if h <= 0:
         return s0.zeta, s0.v
     u = (t - s0.t) / h
-    d0 = geodesic_rhs(s0, cd)
-    d1 = geodesic_rhs(s1, cd)
+    x, y = cd.chart_polys(s0.chart)
+    d0 = _rhs3(x, y, s0.zeta, s0.v)
+    d1 = _rhs3(x, y, s1.zeta, s1.v)
     h00 = (1 + 2 * u) * (1 - u) ** 2
     h10 = u * (1 - u) ** 2
     h01 = u * u * (3 - 2 * u)
@@ -450,7 +435,7 @@ def _segment_state(
 
 
 def _tangent_in_chart(state: ChartState, cd: ConnectionData, chart: str) -> complex:
-    d = geodesic_rhs(state, cd)[0]
+    d = _rhs3(*cd.chart_polys(state.chart), state.zeta, state.v)[0]
     if state.chart == chart:
         return d
     # dzeta' = d(1/zeta)/dt = -zeta'/zeta^2
@@ -503,6 +488,11 @@ def _closest_approach(
     hi: int,
 ) -> Optional[tuple[float, ChartState, float]]:
     """Golden-section closest approach to a sphere point over segments."""
+
+    def dist(idx: int, t: float) -> float:
+        s0, s1 = samples[idx], samples[idx + 1]
+        return chordal(sphere(s0.chart, _hermite(s0, s1, cd, t)[0]), base)
+
     best = None
     best_d = math.inf
     for idx in range(lo, min(hi, len(samples) - 1)):
@@ -511,8 +501,7 @@ def _closest_approach(
             continue
         for frac in range(21):
             t = s0.t + (s1.t - s0.t) * frac / 20
-            z, _ = _hermite(s0, s1, cd, t)
-            d = chordal(_sphere(s0.chart, z), base)
+            d = dist(idx, t)
             if d < best_d:
                 best_d = d
                 best = (idx, t)
@@ -520,30 +509,25 @@ def _closest_approach(
         return None
     idx, t_star = best
     s0, s1 = samples[idx], samples[idx + 1]
-
-    def dist(t: float) -> float:
-        z, _ = _hermite(s0, s1, cd, t)
-        return chordal(_sphere(s0.chart, z), base)
-
     span = (s1.t - s0.t) / 20
     a, b = max(s0.t, t_star - span), min(s1.t, t_star + span)
     gr = (math.sqrt(5) - 1) / 2
     c1 = b - gr * (b - a)
     c2 = a + gr * (b - a)
-    f1, f2 = dist(c1), dist(c2)
+    f1, f2 = dist(idx, c1), dist(idx, c2)
     for _ in range(80):
         if b - a < 1e-14 * max(1.0, abs(b)):
             break
         if f1 < f2:
             b, c2, f2 = c2, c1, f1
             c1 = b - gr * (b - a)
-            f1 = dist(c1)
+            f1 = dist(idx, c1)
         else:
             a, c1, f1 = c1, c2, f2
             c2 = a + gr * (b - a)
-            f2 = dist(c2)
+            f2 = dist(idx, c2)
     t_star = 0.5 * (a + b)
-    return t_star, _segment_state(samples, idx, cd, t_star), dist(t_star)
+    return t_star, _segment_state(samples, idx, cd, t_star), dist(idx, t_star)
 
 
 # ---------------------------------------------------------------------------
@@ -718,6 +702,7 @@ def _segment_of(times: list[float], t: float) -> int:
 def _state_at(
     samples: Sequence[ChartState], times: list[float], cd: ConnectionData, t: float
 ) -> ChartState:
+    """Interpolated state at t; the edge segments extrapolate outside the samples."""
     return _segment_state(samples, _segment_of(times, t), cd, t)
 
 
@@ -777,8 +762,8 @@ def _crossing_event(
     t1, t2 = _refine_crossing(samples, times, cd, t1, t2)
     if t2 < t1:
         t1, t2 = t2, t1
-    s1 = _locate_state(samples, cd, t1, times)
-    s2 = _locate_state(samples, cd, t2, times)
+    s1 = _state_at(samples, times, cd, t1)
+    s2 = _state_at(samples, times, cd, t2)
     chart = s1.chart
     tan1 = _tangent_in_chart(s1, cd, chart)
     tan2 = _tangent_in_chart(s2, cd, chart)
@@ -815,29 +800,15 @@ def _gauss_bonnet_residual(angle: float, res_sum: complex, orient: int) -> float
     return abs(_wrap_angle(eff - 2 * math.pi * (1 + res_sum.real)))
 
 
-def _locate_state(
-    samples: Sequence[ChartState],
-    cd: ConnectionData,
-    t: float,
-    times: Optional[list[float]] = None,
-) -> ChartState:
-    """Interpolated state at t; the last sample when t is outside the samples."""
-    if times is None:
-        times = [s.t for s in samples]
-    if len(times) < 2 or not times[0] <= t <= times[-1]:
-        return samples[-1]
-    # the first segment whose closed time interval holds t
-    return _segment_state(samples, max(0, bisect.bisect_left(times, t) - 1), cd, t)
-
-
 def _span(times: list[float], t1: float, t2: float) -> slice:
     """The samples with t1 <= t <= t2 (times ascending)."""
     return slice(bisect.bisect_left(times, t1), bisect.bisect_right(times, t2))
 
 
-def _loop_points(traj: Trajectory, t1: float, t2: float) -> np.ndarray:
-    span = _span(traj.sample_times(), t1, t2)
-    return np.array([s.sphere() for s in traj.samples[span]]).reshape(-1, 3)
+def _loop_points(
+    samples: Sequence[ChartState], times: list[float], t1: float, t2: float
+) -> np.ndarray:
+    return np.array([s.sphere() for s in samples[_span(times, t1, t2)]]).reshape(-1, 3)
 
 
 def _enclosed_poles(
@@ -854,7 +825,7 @@ def _enclosed_poles(
     loop = np.vstack([loop, loop[:1]])
     poles = [(k, d) for k, d in enumerate(cd.directions) if abs(d.induced_residue) > 1e-12]
     pole_pts = np.array([d.point.sphere() for _, d in poles]).reshape(-1, 3)
-    a = _sphere_to_plane(_far_point(np.vstack([loop, pole_pts])))
+    a = complex(_plane(_far_point(np.vstack([loop, pole_pts])))[0])
     plane_loop = _rotated_coords(loop, a)
     plane_poles = _rotated_coords(pole_pts, a)
     if plane_loop is None or plane_poles is None:
@@ -892,29 +863,30 @@ def _fibonacci_sphere(n: int) -> np.ndarray:
 _FAR_CANDIDATES = _fibonacci_sphere(40)
 
 
-def _far_point(avoid: np.ndarray) -> tuple[float, float, float]:
-    """The candidate farthest from all (m, 3) sphere points (first on ties)."""
+def _far_point(avoid: np.ndarray) -> np.ndarray:
+    """The candidate farthest from all (m, 3) sphere points (first on ties), as (1, 3)."""
     # on the unit sphere the nearest point is the one of largest dot product
     nearest = (_FAR_CANDIDATES @ avoid.T).max(axis=1)
-    return tuple(_FAR_CANDIDATES[int(np.argmin(nearest))].tolist())
+    k = int(np.argmin(nearest))
+    return _FAR_CANDIDATES[k : k + 1]
 
 
-def _sphere_to_plane(p: tuple[float, float, float]) -> complex:
-    # chart-0 coordinate of a sphere point (inf -> large finite stand-in)
-    if abs(1 - p[2]) < 1e-12:
-        return complex(1e12)
-    return complex(p[0], p[1]) / (1 - p[2])
+def _plane(p: np.ndarray) -> np.ndarray:
+    """Chart-0 coordinates of (m, 3) sphere points; the north pole (infinity)
+    stands in as the large finite 1e12.
+    """
+    den = 1 - p[:, 2]
+    north = np.abs(den) < 1e-12
+    den = np.where(north, 1.0, den)
+    return np.where(north, 1e12, p[:, 0] / den) + 1j * np.where(north, 0.0, p[:, 1] / den)
 
 
 def _rotated_coords(p: np.ndarray, a: complex) -> Optional[np.ndarray]:
     """Chart coordinates of (m, 3) sphere points after the Moebius rotation
     z -> (conj(a) z + 1) / (a - z) that sends a to infinity; None if any
-    point meets a.  The north pole stands in as 1e12, as in _sphere_to_plane.
+    point meets a.
     """
-    den = 1 - p[:, 2]
-    north = np.abs(den) < 1e-12
-    den = np.where(north, 1.0, den)
-    z = np.where(north, 1e12, p[:, 0] / den) + 1j * np.where(north, 0.0, p[:, 1] / den)
+    z = _plane(p)
     den = a - z
     if (np.abs(den) < 1e-12).any():
         return None
@@ -961,14 +933,21 @@ class LoopMultiplier:
 def loop_multiplier(
     traj: Trajectory, t1: float, t2: float, cd: ConnectionData
 ) -> LoopMultiplier:
-    """sigma'(t2)/sigma'(t1) for a loop, against exp(-2 pi i sum Res)."""
-    s1 = _locate_state(traj.samples, cd, t1)
-    s2 = _locate_state(traj.samples, cd, t2)
+    """sigma'(t2)/sigma'(t1) for a loop, against exp(-2 pi i sum Res).
+
+    Raises ValueError when t1 or t2 lies outside the sampled times.
+    """
+    samples = traj.samples
+    times = traj.sample_times()
+    if len(times) < 2 or not all(times[0] <= t <= times[-1] for t in (t1, t2)):
+        raise ValueError("loop times must lie within the sampled times")
+    s1 = _state_at(samples, times, cd, t1)
+    s2 = _state_at(samples, times, cd, t2)
     if chordal(s1.sphere(), s2.sphere()) > LOOP_CLOSURE_TOL:
         raise ValueError("loop endpoints do not coincide within tolerance")
     chart = s1.chart
     m_measured = _tangent_in_chart(s2, cd, chart) / _tangent_in_chart(s1, cd, chart)
-    enclosed, res_sum, orient, _ = _enclosed_poles(_loop_points(traj, t1, t2), cd)
+    enclosed, res_sum, orient, _ = _enclosed_poles(_loop_points(samples, times, t1, t2), cd)
     if res_sum is None:
         predicted = complex("nan")
     else:
@@ -1080,9 +1059,9 @@ def _accumulation_test(traj: Trajectory, cd: ConnectionData) -> Optional[dict]:
         return None
     bounds_t = [samples[ref_idx].t] + [r[0] for r in refined]
     times = traj.sample_times()
+    # _hausdorff iterates Python floats, far faster than numpy scalars
     loops = [
-        [s.sphere() for s in samples[_span(times, a, b)]]
-        for a, b in zip(bounds_t, bounds_t[1:])
+        _loop_points(samples, times, a, b).tolist() for a, b in zip(bounds_t, bounds_t[1:])
     ]
     loops = [lp for lp in loops if len(lp) >= 3]
     if len(loops) < 2:
@@ -1102,7 +1081,7 @@ def _accumulation_test(traj: Trajectory, cd: ConnectionData) -> Optional[dict]:
     if tan0 and tan1:
         angle = _wrap_angle(cmath.phase(tan1 / tan0))
         enclosed, res_sum, orient, resolved = _enclosed_poles(
-            _loop_points(traj, t_a, t_b), cd
+            _loop_points(samples, times, t_a, t_b), cd
         )
         if res_sum is not None and resolved:
             residual = _gauss_bonnet_residual(angle, res_sum, orient)

@@ -152,10 +152,10 @@ def transform_germ(germ: LocalGerm, psi: TruncSeries, xi: TruncSeries) -> LocalG
     if xi.c[0] == 0:
         raise ValueError("xi must be a unit")
     n = germ.order
-    psi, xi = psi.truncate(n), xi.truncate(n)
-    psi_inv = psi.reversion()
-    # unit factor of psi_inv: psi_inv = z * pi_unit
-    pi_unit = TruncSeries.from_coeffs(psi_inv.c[1:], n)
+    # psi_inv = z * pi_unit; pi_unit to degree n needs psi_inv to degree n + 1
+    psi_inv = psi.truncate(n + 1).reversion()
+    pi_unit = TruncSeries._raw(n, psi_inv.c[1:])
+    psi, xi, psi_inv = psi.truncate(n), xi.truncate(n), psi_inv.truncate(n)
     xi_rec = xi.recip()
     dpsi = psi.deriv().truncate(n)
     a = dpsi.mul(germ.hx).mul(xi_rec)
@@ -369,6 +369,8 @@ def predict_dynamics(report: SingularityReport) -> DynamicsPrediction:
     Pure decision table over (class, mu_y, rho, resonant index); resonant
     Fuchsian germs with surviving index are reported as unknown rather than
     extrapolated, and irregular germs fall outside the classified cases.
+    The boundaries Re rho = mu_y, rho = mu_y and mu_y Re rho = |rho|^2 are
+    decided at RESONANCE_TOL max(1, |rho|), so roundoff does not pick a regime.
     """
     if report.sing_class == APPARENT:
         return DynamicsPrediction(REGIME_APPARENT, VEL_UNDETERMINED)
@@ -381,15 +383,16 @@ def predict_dynamics(report: SingularityReport) -> DynamicsPrediction:
         # a unknown counts as potentially nonzero: never extrapolated
         if a is None or abs(a) > 1e-12:
             return DynamicsPrediction(REGIME_RESONANT, VEL_UNDETERMINED)
-    if rho.real < mu_y:
+    tol = RESONANCE_TOL * max(1.0, abs(rho))
+    if rho.real < mu_y - tol:
         gap = mu_y * rho.real - (rho.real**2 + rho.imag**2)
-        if gap < 0:
+        if gap < -tol:
             return DynamicsPrediction(REGIME_ATTRACT, VEL_ZERO)
-        if gap > 0:
+        if gap > tol:
             return DynamicsPrediction(REGIME_ATTRACT, VEL_INF)
         return DynamicsPrediction(REGIME_ATTRACT, VEL_CIRCLE)
-    if rho.real > mu_y:
+    if rho.real > mu_y + tol:
         return DynamicsPrediction(REGIME_ESCAPE, VEL_INF)
-    if rho != mu_y:
+    if abs(rho - mu_y) > tol:
         return DynamicsPrediction(REGIME_CLOSED, VEL_UNDETERMINED)
     return DynamicsPrediction(REGIME_PERIODIC, VEL_UNDETERMINED)

@@ -59,6 +59,20 @@ class TestPolyRoots:
             q = poly_from_roots(r2, -0.4 + 1j)
             match_root_sets(poly_roots(poly_mul(p, q)), r1 + r2, tol=1e-5)
 
+    @given(
+        st.lists(
+            st.tuples(st.floats(-2, 2), st.floats(-2, 2), st.integers(1, 3)), min_size=1, max_size=5
+        )
+    )
+    def test_planted_multiplicities(self, draws):
+        # distinct roots at least 0.3 apart, multiplicity <= 3, degree <= 5
+        planted: list[tuple[complex, int]] = []
+        for re, im, m in draws:
+            r = complex(re, im)
+            if sum(k for _, k in planted) + m <= 5 and all(abs(r - q) >= 0.3 for q, _ in planted):
+                planted.append((r, m))
+        match_root_sets(poly_roots(poly_from_roots(planted, 0.7 - 1.1j)), planted, tol=1e-4)
+
     def test_residual_bound(self):
         rng = random.Random(3)
         for _ in range(40):

@@ -102,6 +102,24 @@ class TestClassification:
                 assert rep.label.name == name
                 assert rep.residual <= 1e-8
 
+    def test_predictions_survive_conjugation(self):
+        # roundoff in a conjugated field must not carry a direction across a
+        # boundary of the decision table (C2001's double direction has rho = mu_y)
+        def predictions(field):
+            return sorted(
+                (d.prediction.regime, d.prediction.velocity_limit)
+                for d in connection_data(field).directions
+            )
+
+        rng = random.Random(71)
+        for name in LABELS:
+            if name == "INF":
+                continue
+            for _ in range(50):
+                lab = rand_label(rng, name)
+                want = predictions(template_field(lab))
+                assert predictions(conjugated(rng, lab)) == want, lab
+
     def test_two_direction_parameter_recovery(self):
         rng = random.Random(5)
         for name in ("C210", "C211"):

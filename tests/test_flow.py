@@ -4,11 +4,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from merocon.fields import (
     CHART_INF,
     CHART_ZERO,
     HomogeneousField,
+    ProjPoint,
     connection_data,
     model_connection,
     model_connection_apparent,
@@ -74,6 +77,14 @@ class TestLift:
                 back = chart_transition(other, nu)
                 assert abs(back.zeta - s.zeta) < 1e-12
                 assert abs(back.v - s.v) < 1e-12 * (1 + abs(s.v))
+
+    @given(st.sampled_from([CHART_ZERO, CHART_INF]), st.floats(-2, 2), st.floats(-2, 2))
+    def test_one_sphere_map(self, chart, re, im):
+        # directions and states share one stereographic map, to the bit
+        z = complex(re, im)
+        a = ProjPoint(chart, z).sphere()
+        b = ChartState(chart, z, 1.0 + 0j, 0.0).sphere()
+        assert [x.hex() for x in a] == [x.hex() for x in b]
 
     def test_projection_round_trip(self):
         # p(chi(w)) = [w]: the lifted point has the direction of w
@@ -201,6 +212,11 @@ class TestChartSwitching:
         for s in traj.samples:
             oracle = lift_nu_polar((z0, w0 * cmath.exp(z0 * s.t)), 1)
             assert compare_states(oracle, s) < 1e-8
+        # the state lookup returns every sample at its own time, in both charts
+        from merocon.flow import _state_at
+
+        times = traj.sample_times()
+        assert all(_state_at(traj.samples, times, cd, s.t) == s for s in traj.samples)
 
     def test_time_reversal_retrace(self):
         # running the sign-flipped field from the endpoint retraces the path
@@ -240,12 +256,13 @@ class TestEvents:
         assert len(cross) == 2
         assert esc and max(e.t for e in esc) > max(e.t2 for e in cross)
         # crossing endpoints coincide on the sphere and are time-ordered
-        from merocon.flow import _locate_state, chordal
+        from merocon.flow import _state_at, chordal
 
+        times = traj.sample_times()
         for e in cross:
             assert e.t1 < e.t2
-            s1 = _locate_state(traj.samples, cd, e.t1)
-            s2 = _locate_state(traj.samples, cd, e.t2)
+            s1 = _state_at(traj.samples, times, cd, e.t1)
+            s2 = _state_at(traj.samples, times, cd, e.t2)
             assert chordal(s1.sphere(), s2.sphere()) < 1e-5
         # first loop encloses the single pole; Gauss-Bonnet closes to ~1e-4
         simple = [e for e in cross if e.simple]
@@ -289,6 +306,8 @@ class TestEvents:
         assert abs(abs(ret[0].multiplier) - math.exp(-2 * math.pi * g)) < 1e-4
         lm = loop_multiplier(traj, ret[0].t1, ret[0].t2, cd)
         assert lm.deviation < 1e-4
+        with pytest.raises(ValueError, match="sampled times"):
+            loop_multiplier(traj, ret[0].t1, traj.terminal().t + 0.5, cd)
 
     def test_loop_multiplier_needs_closed_endpoints(self):
         cd = connection_data(C2001)

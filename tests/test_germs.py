@@ -196,6 +196,29 @@ class TestCovariance:
             assert abs(rep1.rho - rep0.rho) < 1e-8 * (1 + abs(rep0.rho))
             assert abs(rep1.residue - rep0.residue) < 1e-8 * (1 + abs(rep0.residue))
 
+    def test_top_degree_does_not_depend_on_the_order(self):
+        # polynomial germs and changes transformed at orders 16 and 24 agree
+        # at every degree up to 16, the top one included
+        rng = random.Random(404)
+        for _ in range(50):
+            mu_y = rng.randint(0, 2)
+            mu_x = mu_y + rng.randint(1, 2)
+            tail = lambda lead: [lead] + [
+                0.3 * complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(4)
+            ]
+            tail_x, tail_y = tail(1.0), tail(complex(rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5)))
+            psi, xi = random_change(rng)
+            low, high = (
+                transform_germ(
+                    monomial_germ(mu_x, tail_x, mu_y, tail_y, n), psi.truncate(n), xi.truncate(n)
+                )
+                for n in (N, 24)
+            )
+            assert (low.mu_x, low.mu_y) == (high.mu_x, high.mu_y)
+            for a, b in ((low.hx, high.hx), (low.hy, high.hy)):
+                scale = max(abs(c) for c in b.c[: N + 1])
+                assert max(abs(x - y) for x, y in zip(a.c, b.c)) <= 1e-13 * scale
+
 
 class TestApparentIndex:
     def test_plain_square(self):
