@@ -10,6 +10,7 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from typing import Sequence
 
 # relative tolerance of every root, residue and vanishing-order decision
@@ -131,77 +132,88 @@ def _aberth(monic: list[complex], max_iter: int = 400) -> list[complex]:
     return zs
 
 
-def _cluster(points: list[complex]) -> list[list[complex]]:
-    # union-find; join radius for a tentative cluster of size m is
-    # DEFAULT_TOL^(1/m), matching the spread of an m-fold root computed in
-    # floating point
-    n = len(points)
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def size(i: int) -> int:
-        r = find(i)
-        return sum(1 for j in range(n) if find(j) == r)
-
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            for j in range(i + 1, n):
-                ri, rj = find(i), find(j)
-                if ri == rj:
-                    continue
-                m = size(i) + size(j)
-                radius = DEFAULT_TOL ** (1.0 / m) * (1.0 + abs(points[i]))
-                if abs(points[i] - points[j]) <= radius:
-                    parent[rj] = ri
-                    changed = True
-    groups: dict[int, list[complex]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(points[i])
-    return list(groups.values())
+def _cluster(c: Sequence[complex], points: list[complex]) -> list[tuple[complex, int]]:
+    # the m approximations of an m-fold root computed in floating point
+    # spread over about DEFAULT_TOL^(1/m); each unassigned approximation z
+    # takes the largest m whose m nearest unassigned ones (itself included)
+    # lie within that radius and whose polished mean w is an m-fold root of
+    # p up to DEFAULT_TOL: p, p', ..., p^(m-1) at w are each at most 10
+    # DEFAULT_TOL times what a change of max|c| in every coefficient can
+    # move them by.  Distinct simple roots closer than the radius fail the
+    # second test; a simple root that fails it raises.
+    ders, sizes = [tuple(c)], [(max(abs(x) for x in c),) * len(c)]
+    while len(ders[-1]) > 1:
+        ders.append(poly_deriv(ders[-1]))
+        sizes.append(poly_deriv(sizes[-1]))
+    left = points
+    out: list[tuple[complex, int]] = []
+    while left:
+        z = left[0]
+        near = sorted(left, key=lambda w: abs(w - z))
+        for m in range(len(near), 0, -1):
+            if abs(near[m - 1] - z) > DEFAULT_TOL ** (1.0 / m) * (1.0 + abs(z)):
+                continue
+            w = _polish(ders[m - 1], ders[m], sum(near[:m]) / m)
+            bound = [10.0 * DEFAULT_TOL * poly_eval(s, abs(w)).real for s in sizes[:m]]
+            if all(abs(poly_eval(d, w)) <= b for d, b in zip(ders, bound)):
+                break
+        else:
+            raise RootFindingError(
+                f"root {w!r} residual {abs(poly_eval(c, w)):.3e} exceeds bound {bound[0]:.3e}"
+            )
+        out.append((w, m))
+        left = near[m:]
+    return out
 
 
-def _polish(monic: list[complex], z: complex, m: int, iters: int = 8) -> complex:
-    # safeguarded multiplicity-Newton: near a multiple root both p and p'
-    # sit at the roundoff floor, where the Newton step is pure noise, so a
-    # move is only kept when it actually lowers |p|
-    dp = poly_deriv(monic)
-    best, best_p = z, abs(poly_eval(monic, z))
-    cur = best
-    for _ in range(iters):
-        p = poly_eval(monic, cur)
-        noise = 8e-16 * sum(abs(c) * abs(cur) ** k for k, c in enumerate(monic))
-        if abs(p) <= noise:
-            break
-        q = poly_eval(dp, cur)
+def _polish(work: Coeffs, dp: Coeffs, z: complex) -> complex:
+    # an m-fold root of p is a simple root of work = p^(m-1), so Newton
+    # there reaches machine precision where the clustered approximations
+    # are only eps^(1/m)-accurate.  Where the rounding error of the float
+    # residual, eps sum |w_k| |z|^k, can move the root by more than an ulp
+    # (next to other roots), one last step takes the residual from 64-digit
+    # arithmetic, which leaves the root within about an ulp
+    for _ in range(12):
+        q = poly_eval(dp, z)
         if q == 0:
+            return z
+        step = poly_eval(work, z) / q
+        if abs(step) > 0.1 * (1 + abs(z)):
+            return z
+        z = z - step
+        if abs(step) < 1e-16 * (1 + abs(z)):
             break
-        step = m * p / q
-        if abs(step) > 0.5 * (1 + abs(cur)):
-            step *= 0.5 * (1 + abs(cur)) / abs(step)
-        cand = cur - step
-        pc = abs(poly_eval(monic, cand))
-        if pc >= abs(p):
-            break
-        cur = cand
-        if pc < best_p:
-            best, best_p = cand, pc
-    return best
+    q = poly_eval(dp, z)
+    if 0 < abs(q) * (1 + abs(z)) < abs(poly_eval([abs(x) for x in work], abs(z))):
+        step = _eval_wide(work, z) / q
+        if abs(step) <= 0.1 * (1 + abs(z)):
+            z = z - step
+    return z
+
+
+def _eval_wide(c: Sequence[complex], z: complex) -> complex:
+    # Horner in 64-digit decimal arithmetic, rounded once to a complex
+    zr, zi = Decimal(z.real), Decimal(z.imag)
+    re = im = Decimal(0)
+    with localcontext() as ctx:
+        ctx.prec = 64
+        for x in reversed(c):
+            re, im = re * zr - im * zi + Decimal(x.real), re * zi + im * zr + Decimal(x.imag)
+    return complex(float(re), float(im))
 
 
 def poly_roots(c: Sequence[complex]) -> list[tuple[complex, int]]:
     """All roots of a nonzero polynomial with multiplicities.
 
-    Simultaneous (Aberth) iteration followed by a tolerance-aware cluster
-    merge: approximations of an m-fold root spread over a radius ~eps^(1/m),
-    so the join radius grows with the hypothesized multiplicity.  Raises
-    RootFindingError when any merged root fails the residual bound.
+    The one place that decides a root's multiplicity.  Simultaneous
+    (Aberth) approximations of an m-fold root spread over a radius
+    ~eps^(1/m), so m approximations within DEFAULT_TOL^(1/m)*(1+|z|) of the
+    first are one m-fold root when their polished mean passes the backward
+    test in ``_cluster``, and the largest such m wins.  The mean is polished
+    by Newton on the (m-1)-st derivative, where the root is simple, so
+    callers can use each root as it stands.  Raises RootFindingError when a
+    simple root fails the residual bound |p(r)| <= 10 DEFAULT_TOL max|c|
+    sum_k |r|^k.
     """
     trimmed = poly_trim(c, rel=1e-14)
     if not trimmed:
@@ -215,26 +227,9 @@ def poly_roots(c: Sequence[complex]) -> list[tuple[complex, int]]:
     while k0 < deg and abs(trimmed[k0]) <= 1e-14 * scale:
         k0 += 1
     body = trimmed[k0:]
-    roots: list[tuple[complex, int]] = []
-    if k0:
-        roots.append((0j, k0))
-    d = len(body) - 1
-    if d > 0:
-        lead = body[-1]
-        monic = [x / lead for x in body]
-        approx = _aberth(monic)
-        roots_body: list[tuple[complex, int]] = []
-        for grp in _cluster(approx):
-            m = len(grp)
-            roots_body.append((_polish(monic, sum(grp) / m, m), m))
-        for r, m in roots_body:
-            res = abs(poly_eval(monic, r))
-            bound = 10.0 * DEFAULT_TOL * max(1.0, abs(r)) ** d
-            if res > bound:
-                raise RootFindingError(
-                    f"root {r!r} residual {res:.3e} exceeds bound {bound:.3e}"
-                )
-        roots.extend(roots_body)
+    roots: list[tuple[complex, int]] = [(0j, k0)] if k0 else []
+    if len(body) > 1:
+        roots.extend(_cluster(body, _aberth([x / body[-1] for x in body])))
     roots.sort(key=lambda rm: (rm[0].real, rm[0].imag))
     return roots
 
@@ -243,15 +238,13 @@ def poly_roots(c: Sequence[complex]) -> list[tuple[complex, int]]:
 # rational functions
 # ---------------------------------------------------------------------------
 
-def _local_orders(shifted: Sequence[complex]) -> int:
-    """Index of the first coefficient above DEFAULT_TOL relative to the largest."""
-    scale = max((abs(x) for x in shifted), default=0.0)
-    if scale == 0.0:
-        return len(shifted)
-    for k, x in enumerate(shifted):
-        if abs(x) > DEFAULT_TOL * scale:
-            return k
-    return len(shifted)
+def vanishing_order(c: Sequence[complex]) -> int:
+    """Index of the first coefficient above DEFAULT_TOL times the largest.
+
+    The one vanishing-order rule; len(c) when every coefficient is 0.
+    """
+    cut = DEFAULT_TOL * max((abs(x) for x in c), default=0.0)
+    return next((k for k, x in enumerate(c) if abs(x) > cut), len(c))
 
 
 def rational_residue(num: Sequence[complex], den: Sequence[complex], p: complex) -> complex:
@@ -267,10 +260,10 @@ def rational_residue(num: Sequence[complex], den: Sequence[complex], p: complex)
         return 0j
     ns = poly_shift(num_t, p)
     ds = poly_shift(den_t, p)
-    m = _local_orders(ds)
+    m = vanishing_order(ds)
     if m == 0:
         return 0j
-    k = _local_orders(ns)
+    k = vanishing_order(ns)
     order = m - k
     if order <= 0:
         return 0j

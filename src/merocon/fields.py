@@ -24,11 +24,11 @@ from .algebra import (
     RatFn,
     RootFindingError,
     TruncSeries,
-    poly_eval,
     poly_mul,
     poly_roots,
     poly_shift,
     poly_trim,
+    vanishing_order,
 )
 from .germs import (
     APPARENT,
@@ -289,9 +289,9 @@ def characteristic_directions(field: HomogeneousField) -> list[tuple[ProjPoint, 
 
     Roots are taken from whichever chart holds them inside the unit disc,
     where the root problem is well scaled (a multiple root far out in one
-    chart is tame near the origin in the other); each root is polished to
-    machine precision with a multiplicity-aware Newton step, and the
-    overlap band near |coord| = 1 is deduplicated by chordal proximity.
+    chart is tame near the origin in the other).  poly_roots decides each
+    multiplicity and polishes each root; they are used as they stand, and
+    the overlap band near |coord| = 1 is deduplicated by chordal proximity.
     """
     if is_dicritical(field):
         raise DicriticalFieldError("every direction of a dicritical field is characteristic")
@@ -305,8 +305,7 @@ def characteristic_directions(field: HomogeneousField) -> list[tuple[ProjPoint, 
         for root, mult in poly_roots(trimmed):
             if abs(root) > band:
                 continue
-            coord = _polish_mult(trimmed, root, mult)
-            found.append((ProjPoint.make(chart, coord), mult, chart))
+            found.append((ProjPoint.make(chart, root), mult, chart))
     out: list[tuple[ProjPoint, int]] = []
     for point, mult, chart in found:
         dup = False
@@ -328,46 +327,16 @@ def characteristic_directions(field: HomogeneousField) -> list[tuple[ProjPoint, 
     return out
 
 
-def _polish_mult(c: Coeffs, z: complex, m: int, iters: int = 12) -> complex:
-    """Newton polish aware of multiplicity.
-
-    An m-fold root of the polynomial is a simple root of its (m-1)-st
-    derivative, so Newton there reaches machine precision where the
-    clustered approximations are only eps^(1/m)-accurate.
-    """
-    work = list(c)
-    for _ in range(m - 1):
-        work = [k * work[k] for k in range(1, len(work))]
-    dp = tuple(k * work[k] for k in range(1, len(work)))
-    for _ in range(iters):
-        p = poly_eval(work, z)
-        q = poly_eval(dp, z)
-        if q == 0:
-            break
-        step = p / q
-        if abs(step) > 0.1 * (1 + abs(z)):
-            break
-        z = z - step
-        if abs(step) < 1e-16 * (1 + abs(z)):
-            break
-    return z
-
-
-def _germ_at(x: Coeffs, y: Coeffs, p: complex, order_hint: int, n: int = 24) -> LocalGerm:
-    xs = TruncSeries.from_coeffs(poly_shift(x, p), n)
-    ys_c = poly_shift(y, p)
+def _germ_at(x: Coeffs, y: Coeffs, p: complex, mu_x: int, n: int = 24) -> LocalGerm:
+    # mu_x is the root multiplicity poly_roots decided; only Y's vanishing
+    # order is detected here
+    hx = TruncSeries.from_coeffs(poly_shift(x, p)[mu_x:], n)
+    ys = poly_shift(y, p)
     y_scale = max((abs(c) for c in y), default=0.0)
-    ys = None
-    if y_scale > 0 and max(abs(c) for c in ys_c) > DEFAULT_TOL * y_scale:
-        ys = TruncSeries.from_coeffs(ys_c, n)
-    germ = LocalGerm.from_series(xs, ys)
-    if germ.mu_x != order_hint:
-        # trust the root multiplicity; rebuild the unit with that order
-        hx = TruncSeries.from_coeffs(xs.c[order_hint:], n)
-        if hx.c[0] == 0:
-            raise ValueError("inconsistent vanishing order at characteristic direction")
-        germ = LocalGerm(order_hint, hx, germ.mu_y, germ.hy)
-    return germ
+    if max((abs(c) for c in ys), default=0.0) <= DEFAULT_TOL * y_scale:
+        return LocalGerm(mu_x, hx, None, None)
+    mu_y = vanishing_order(ys)
+    return LocalGerm(mu_x, hx, mu_y, TruncSeries.from_coeffs(ys[mu_y:], n))
 
 
 def connection_data(field: HomogeneousField) -> ConnectionData:

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .algebra import DEFAULT_TOL, TruncSeries, _inverse_power, solve_linear_series_ode
+from .algebra import TruncSeries, _inverse_power, solve_linear_series_ode, vanishing_order
 
 APPARENT = "apparent"
 FUCHSIAN = "fuchsian"
@@ -51,15 +51,13 @@ class LocalGerm:
     @staticmethod
     def from_series(x: TruncSeries, y: Optional[TruncSeries]) -> "LocalGerm":
         """Build a germ from raw X, Y series, detecting vanishing orders."""
-        mu_x, hx = _split_order_abs(x, DEFAULT_TOL * max(abs(c) for c in x.c))
-        if mu_x is None or mu_x < 1:
+        mu_x = vanishing_order(x.c)
+        if not 0 < mu_x < len(x.c):
             raise ValueError("X must vanish at the singular point but not identically")
-        if y is None:
+        hx = TruncSeries.from_coeffs(x.c[mu_x:], x.n)
+        if y is None or (mu_y := vanishing_order(y.c)) == len(y.c):
             return LocalGerm(mu_x, hx, None, None)
-        mu_y, hy = _split_order_abs(y, DEFAULT_TOL * max(abs(c) for c in y.c))
-        if mu_y is None:
-            return LocalGerm(mu_x, hx, None, None)
-        return LocalGerm(mu_x, hx, mu_y, hy)
+        return LocalGerm(mu_x, hx, mu_y, TruncSeries.from_coeffs(y.c[mu_y:], y.n))
 
 
 def _split_order_abs(s: TruncSeries, cut: float) -> tuple[Optional[int], Optional[TruncSeries]]:

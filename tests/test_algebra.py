@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from merocon.algebra import (
@@ -64,6 +64,8 @@ class TestPolyRoots:
             st.tuples(st.floats(-2, 2), st.floats(-2, 2), st.integers(1, 3)), min_size=1, max_size=5
         )
     )
+    # a triple root next to a double root: once split into three simple roots
+    @example([(1.5, -1.625, 3), (0.890625, -1.75, 2)])
     def test_planted_multiplicities(self, draws):
         # distinct roots at least 0.3 apart, multiplicity <= 3, degree <= 5
         planted: list[tuple[complex, int]] = []
@@ -72,6 +74,27 @@ class TestPolyRoots:
             if sum(k for _, k in planted) + m <= 5 and all(abs(r - q) >= 0.3 for q, _ in planted):
                 planted.append((r, m))
         match_root_sets(poly_roots(poly_from_roots(planted, 0.7 - 1.1j)), planted, tol=1e-4)
+
+    @pytest.mark.parametrize(
+        "planted",
+        [
+            # closer than the triple-root radius 1e-3, farther than the double 3.2e-5
+            [(0.5 + 0.2j - 6e-4, 1), (0.5 + 0.2j, 1), (0.5 + 0.2j + 6e-4, 1)],
+            [(0.3 + 0.004j * k, 1) for k in range(5)],
+            [(0.7, 2), (0.701, 1)],
+            [(0.4 - 0.3j, 3), (0.402 - 0.3j, 1)],
+        ],
+        ids=["three-simple", "five-simple", "double-and-simple", "triple-and-simple"],
+    )
+    def test_close_roots_keep_their_multiplicities(self, planted):
+        match_root_sets(poly_roots(poly_from_roots(planted, 0.7 - 1.1j)), planted, tol=1e-7)
+
+    @pytest.mark.parametrize("h", [2.0**-9, 2.0**-11])
+    def test_clustered_simple_roots_to_an_ulp(self, h):
+        # dyadic roots give exact coefficients; float Newton alone stops
+        # about eps/h^2 away from the middle root
+        planted = [(0.5 + 0.25j + k * h, 1) for k in range(3)] + [(-0.75 + 0.5j, 1)]
+        match_root_sets(poly_roots(poly_from_roots(planted)), planted, tol=1e-15)
 
     def test_residual_bound(self):
         rng = random.Random(3)

@@ -165,6 +165,38 @@ class TestClassification:
         assert abs(rep.label.rho - 1 / 3) < 1e-9
         assert abs(rep.label.tau - 1 / 3) < 1e-9
 
+    @pytest.mark.parametrize(
+        "q1, q2",
+        [
+            (
+                (1.7372638509459701 - 5.233483466945483j,
+                 -1.8369920209686517 + 3.997512083232339j,
+                 -0.021532303542445508 - 0.005676390586796032j),
+                (-0.0008313014579144351 + 0.0036240462257226547j,
+                 1.7175698551071839 - 5.238224546147274j,
+                 -1.8279979530715302 + 3.9618423776774248j),
+            ),
+            (
+                (-0.9823936131326109 + 3.894081224488285j,
+                 -3.6302416586948603 + 1.7951977424192682j,
+                 0.016568954927514312 + 0.001955731070678368j),
+                (0.0006105263676542405 - 0.004192351557241958j,
+                 -0.9946861970862104 + 3.9099471835809196j,
+                 -3.6010124271766406 + 1.7829407640295805j),
+            ),
+        ],
+        ids=["seed7", "seed904"],
+    )
+    def test_conjugated_c111_keeps_its_triple_direction(self, q1, q2):
+        # conjugated C111 templates from the benchmark's classify workload
+        # (seed 7 round 32, seed 904 round 24) once came back as three
+        # simple directions with |sum Res - 1| ~ 1e8
+        q = HomogeneousField(1, q1, q2)
+        cd = connection_data(q)
+        assert [d.order for d in cd.directions] == [3]
+        assert abs(sum(d.residue for d in cd.directions) - 1) < 1e-8
+        assert classify_quadratic(q, cd).label.name == "C111"
+
     def test_radial_multiple_is_dicritical(self):
         q = HomogeneousField(1, (1, 1, 0), (0, 1, 1))
         rep = classify_quadratic(q)

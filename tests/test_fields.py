@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from merocon.algebra import RatFn
+from merocon.algebra import RatFn, poly_degree
 from merocon.fields import (
     ACCUMULATING_LEAVES,
     CHART_INF,
@@ -202,6 +202,63 @@ class TestConnectionData:
         ]
         assert len(poles0) == len(nonapparent0) == 1
         assert abs(poles0[0][0] - nonapparent0[0]) < 1e-8
+
+    def test_connection_form_cancels_the_triple_direction(self):
+        # a conjugated C100: X0 has a triple root that Y0 shares to order
+        # two, so the reduced eta0 is constant over linear
+        q = HomogeneousField(
+            1,
+            (-0.07932498421126682 - 0.36967995841391305j,
+             0.15507046899576257 - 0.394065898138925j,
+             0.09721802069313344 - 0.06789238070010012j),
+            (0.48321374696114305 + 0.47151873728900934j,
+             0.15864996842253348 + 0.739359916827826j,
+             -0.07753523449788127 + 0.19703294906946253j),
+        )
+        cd = connection_data(q)
+        assert [d.order for d in cd.directions] == [3]
+        assert (poly_degree(cd.eta0.num), poly_degree(cd.eta0.den)) == (0, 1)
+
+    @pytest.mark.parametrize(
+        "q1, q2, orders",
+        [
+            (  # C3100 perturbed by 1e-7: a chart whose leading coefficient is 7e-9
+                (1.0000000328289598 - 5.681117868892056e-08j,
+                 -0.9999999351863049 + 1.7837532724015438e-08j,
+                 -1.992918763077294e-08 - 9.502327468280901e-08j),
+                (5.107572087003551e-09 - 5.272385793182295e-09j,
+                 -5.5347998167562314e-08 + 1.4761210266617578e-07j,
+                 6.097834157573652e-08 + 1.0933467486431396e-07j),
+                [1, 1, 1],
+            ),
+            (  # C2001 perturbed by 1e-11
+                (-1.2335472495805519e-11 - 2.357389701117437e-12j,
+                 5.310162760945702e-12 - 7.545426001203314e-12j,
+                 1.1042468670244413e-11 - 4.304146504083537e-12j),
+                (-1.3408678102932753e-11 + 3.1010501867103564e-12j,
+                 0.999999999991251 + 1.3486075692769686e-12j,
+                 9.245768048764133e-12 + 3.264411543097977e-11j),
+                [1, 2],
+            ),
+            (  # C3100 perturbed by 1e-11
+                (0.9999999999904814 - 2.2151828211657147e-11j,
+                 -1.000000000002198 + 1.1373018853977268e-12j,
+                 1.5215594305418052e-11 + 2.2205015751134465e-11j),
+                (2.1011736805476738e-11 + 2.821524928866204e-12j,
+                 -2.477861545686324e-12 - 1.137594159758968e-11j,
+                 2.8741557234014944e-12 - 3.008983658783833e-12j),
+                [1, 1, 1],
+            ),
+        ],
+        ids=["C3100-1e-7", "C2001-1e-11", "C3100-1e-11"],
+    )
+    def test_directions_near_a_chart_infinity(self, q1, q2, orders):
+        # the residual bound scales with the coefficients, not with the
+        # small leading coefficient of the chart that holds the direction
+        cd = connection_data(HomogeneousField(1, q1, q2))
+        assert sorted(d.order for d in cd.directions) == orders
+        assert abs(sum(d.residue for d in cd.directions) - 1) < 1e-8
+        assert abs(sum(d.induced_residue for d in cd.directions) + 2) < 1e-8
 
     def test_connection_forms_built_on_access(self, monkeypatch):
         def refuse(*args, **kwargs):
