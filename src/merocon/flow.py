@@ -5,7 +5,8 @@
 # State per chart: (zeta, v) with dzeta/dt = X(zeta) v, dv/dt = -Y(zeta) v^2.
 # A third component w accumulates int Y(zeta) v dt, so exp(w) v stays constant
 # along exact trajectories (horizontal first integral); its drift is the main
-# accuracy diagnostic.
+# accuracy diagnostic.  The stepper is FSAL Dormand-Prince 5(4), six RHS
+# evaluations per step.
 
 from __future__ import annotations
 
@@ -13,34 +14,27 @@ import bisect
 import cmath
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import poly_eval
 from .fields import CHART_INF, CHART_ZERO, ConnectionData, ProjPoint, chordal, sphere
 from .germs import APPARENT
 
-# Dormand-Prince 5(4) tableau; the field is autonomous, so the nodes c_i are not needed
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (
-    5179 / 57600,
-    0.0,
-    7571 / 16695,
-    393 / 640,
-    -92097 / 339200,
-    187 / 2100,
-    1 / 40,
+# Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner, Solving ODEs I, II.5);
+# the field is autonomous, so the nodes c_i are not needed.  Row 7 of A is the
+# 5th-order weight vector b (first same as last), and a72 = b2 = b7 = 0.
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+# embedded 4th-order weights; bh2 = 0
+_BH1, _BH3, _BH4, _BH5, _BH6, _BH7 = (
+    5179 / 57600, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40
 )
 
 SWITCH_OUT = 1.5  # leave the chart beyond this |zeta|
@@ -129,6 +123,16 @@ class Event:
 
 @dataclass
 class Trajectory:
+    """A sampled curve with its events and ω-limit class.
+
+    ``diagnostics`` of a one-sided run holds ``stop`` (why integration
+    ended), ``steps`` (loop passes: every attempted step, plus the final pass
+    that finds t_max reached), ``accepted`` and ``rejected`` steps, and
+    ``rhs_evals``, the evaluations of the geodesic field made by the stepper.
+    A two-sided run holds ``forward_stop`` and ``backward_stop``.  ω
+    classification adds its own keys.
+    """
+
     samples: list[ChartState]
     events: list[Event]
     invariant_drift: float
@@ -184,10 +188,94 @@ def geodesic_rhs(state: ChartState, cd: ConnectionData) -> tuple[complex, comple
 def _rhs3(
     x: Sequence[complex], y: Sequence[complex], z: complex, v: complex
 ) -> tuple[complex, complex, complex]:
-    xv = poly_eval(x, z)
-    yv = poly_eval(y, z) if y else 0j
+    xv = yv = 0j
+    for a in reversed(x):
+        xv = xv * z + a
+    for a in reversed(y):
+        yv = yv * z + a
     yvv = yv * v
     return (xv * v, -yvv * v, yvv)
+
+
+def _dp_step(
+    x: Sequence[complex],
+    y: Sequence[complex],
+    z: complex,
+    v: complex,
+    w: complex,
+    h: float,
+    k1: tuple[complex, complex, complex],
+    abs_tol: float,
+    rel_tol: float,
+):
+    """One Dormand-Prince 5(4) attempt from (z, v, w), given stage 1 at (z, v).
+
+    Returns (z5, v5, w5, err, k7, evals).  k7 is the RHS at (z5, v5), handed
+    on as the next step's stage 1, or None when it is not that value; evals
+    counts the stages evaluated.  A stage that is not finite gives err = inf
+    and no state.  Every sum runs left to right in the tableau's order,
+    z + (h a_i1) k1 + (h a_i2) k2 + ..., which fixes its rounding.
+    """
+    # kz - kz == 0 holds iff both parts of kz are finite
+    k1z, k1v, k1w = k1
+    if not (k1z - k1z == 0 and k1v - k1v == 0):
+        return None, None, None, math.inf, None, 0
+    a1 = h * _A21
+    k2z, k2v, k2w = _rhs3(x, y, z + a1 * k1z, v + a1 * k1v)
+    if not (k2z - k2z == 0 and k2v - k2v == 0):
+        return None, None, None, math.inf, None, 1
+    a1, a2 = h * _A31, h * _A32
+    k3z, k3v, k3w = _rhs3(x, y, z + a1 * k1z + a2 * k2z, v + a1 * k1v + a2 * k2v)
+    if not (k3z - k3z == 0 and k3v - k3v == 0):
+        return None, None, None, math.inf, None, 2
+    a1, a2, a3 = h * _A41, h * _A42, h * _A43
+    k4z, k4v, k4w = _rhs3(
+        x, y, z + a1 * k1z + a2 * k2z + a3 * k3z, v + a1 * k1v + a2 * k2v + a3 * k3v
+    )
+    if not (k4z - k4z == 0 and k4v - k4v == 0):
+        return None, None, None, math.inf, None, 3
+    a1, a2, a3, a4 = h * _A51, h * _A52, h * _A53, h * _A54
+    k5z, k5v, k5w = _rhs3(
+        x,
+        y,
+        z + a1 * k1z + a2 * k2z + a3 * k3z + a4 * k4z,
+        v + a1 * k1v + a2 * k2v + a3 * k3v + a4 * k4v,
+    )
+    if not (k5z - k5z == 0 and k5v - k5v == 0):
+        return None, None, None, math.inf, None, 4
+    a1, a2, a3, a4, a5 = h * _A61, h * _A62, h * _A63, h * _A64, h * _A65
+    k6z, k6v, k6w = _rhs3(
+        x,
+        y,
+        z + a1 * k1z + a2 * k2z + a3 * k3z + a4 * k4z + a5 * k5z,
+        v + a1 * k1v + a2 * k2v + a3 * k3v + a4 * k4v + a5 * k5v,
+    )
+    if not (k6z - k6z == 0 and k6v - k6v == 0):
+        return None, None, None, math.inf, None, 5
+    b1, b3, b4, b5, b6 = h * _B1, h * _B3, h * _B4, h * _B5, h * _B6
+    z5 = z + b1 * k1z + b3 * k3z + b4 * k4z + b5 * k5z + b6 * k6z
+    v5 = v + b1 * k1v + b3 * k3v + b4 * k4v + b5 * k5v + b6 * k6v
+    k7 = _rhs3(x, y, z5, v5)
+    k7z, k7v, k7w = k7
+    if not (k7z - k7z == 0 and k7v - k7v == 0):
+        return None, None, None, math.inf, None, 6
+    w5 = w + b1 * k1w + b3 * k3w + b4 * k4w + b5 * k5w + b6 * k6w
+    # The zero weights b2 = b7 = 0 leave every value as it is, but adding
+    # their (signed) zero terms can flip the sign of a zero part: there the
+    # sum is taken with them, as the tableau states it.
+    if not (z5.real and z5.imag and v5.real and v5.imag):
+        z5 = z + b1 * k1z + 0.0 * k2z + b3 * k3z + b4 * k4z + b5 * k5z + b6 * k6z + 0.0 * k7z
+        v5 = v + b1 * k1v + 0.0 * k2v + b3 * k3v + b4 * k4v + b5 * k5v + b6 * k6v + 0.0 * k7v
+        k7 = None
+    if not (w5.real and w5.imag):
+        w5 = w + b1 * k1w + 0.0 * k2w + b3 * k3w + b4 * k4w + b5 * k5w + b6 * k6w + 0.0 * k7w
+    a1, a3, a4, a5, a6, a7 = h * _BH1, h * _BH3, h * _BH4, h * _BH5, h * _BH6, h * _BH7
+    z4 = z + a1 * k1z + a3 * k3z + a4 * k4z + a5 * k5z + a6 * k6z + a7 * k7z
+    v4 = v + a1 * k1v + a3 * k3v + a4 * k4v + a5 * k5v + a6 * k6v + a7 * k7v
+    sc_z = abs_tol + rel_tol * max(abs(z), abs(z5))
+    sc_v = abs_tol + rel_tol * max(abs(v), abs(v5))
+    err = math.sqrt(0.5 * ((abs(z5 - z4) / sc_z) ** 2 + (abs(v5 - v4) / sc_v) ** 2))
+    return z5, v5, w5, err, k7, 6
 
 
 # ---------------------------------------------------------------------------
@@ -238,13 +326,18 @@ def integrate(cd: ConnectionData, init: ChartState, cfg: IntegratorConfig) -> Tr
         return traj
 
     pole_pts = [
-        (d.point.sphere(), d.point)
+        (*d.point.sphere(), d.point)
         for d in cd.directions
         if d.sing_class != APPARENT
     ]
     chart = init.chart
     if cd.single_chart and chart != CHART_ZERO:
         raise ValueError("model connections live in a single chart")
+    single = cd.single_chart
+    t_max, abs_tol, rel_tol = cfg.t_max, cfg.abs_tol, cfg.rel_tol
+    pole_radius, escape_radius = cfg.pole_radius, cfg.escape_radius
+    record_stride = cfg.record_stride
+    sqrt = math.sqrt
     z, v, t = init.zeta, init.v, init.t
     w = 0j
     v_ref = v
@@ -254,62 +347,33 @@ def integrate(cd: ConnectionData, init: ChartState, cfg: IntegratorConfig) -> Tr
     events: list[Event] = []
     stop = None
 
-    h = min(cfg.record_stride, 1e-3)
+    h = min(record_stride, 1e-3)
     prev_speed = None
-    recent_v: list[float] = [abs(v)]
-    start_sphere = sphere(chart, z)
-    prev_sphere = start_sphere
+    recent_v: deque[float] = deque([abs(v)], maxlen=10)
+    sx0, sy0, sz0 = sphere(chart, z)
+    px, py, pz = sx0, sy0, sz0
     excursion = 0.0
     returned_arm = False
     return_pending: Optional[int] = None
 
     x, y = cd.chart_polys(chart)
-    steps = 0
+    # stage 1 at (z, v): each accepted step hands on its stage 7 (FSAL); a
+    # chart switch, or a step that cannot hand it on, leaves a fresh evaluation
+    k1 = _rhs3(x, y, z, v)
+    steps = accepted = rejected = 0
+    rhs_evals = 1
     while steps < cfg.max_steps:
         steps += 1
-        if t + h > cfg.t_max:
-            h = cfg.t_max - t
+        if t + h > t_max:
+            h = t_max - t
             if h <= 1e-15 * max(1.0, abs(t)):
                 stop = "t_max"
                 break
-        # one embedded step
-        k: list[tuple[complex, complex, complex]] = []
-        ok = True
-        for i in range(7):
-            zi, vi, wi = z, v, w
-            for j, aij in enumerate(_DP_A[i]):
-                if aij:
-                    zi += h * aij * k[j][0]
-                    vi += h * aij * k[j][1]
-                    wi += h * aij * k[j][2]
-            ki = _rhs3(x, y, zi, vi)
-            if not (
-                math.isfinite(ki[0].real)
-                and math.isfinite(ki[0].imag)
-                and math.isfinite(ki[1].real)
-                and math.isfinite(ki[1].imag)
-            ):
-                ok = False
-                break
-            k.append(ki)
-        if ok:
-            z5, v5, w5 = z, v, w
-            z4, v4 = z, v
-            for i in range(7):
-                z5 += h * _DP_B5[i] * k[i][0]
-                v5 += h * _DP_B5[i] * k[i][1]
-                w5 += h * _DP_B5[i] * k[i][2]
-                z4 += h * _DP_B4[i] * k[i][0]
-                v4 += h * _DP_B4[i] * k[i][1]
-            sc_z = cfg.abs_tol + cfg.rel_tol * max(abs(z), abs(z5))
-            sc_v = cfg.abs_tol + cfg.rel_tol * max(abs(v), abs(v5))
-            err = math.sqrt(
-                0.5 * ((abs(z5 - z4) / sc_z) ** 2 + (abs(v5 - v4) / sc_v) ** 2)
-            )
-        else:
-            err = math.inf
+        z5, v5, w5, err, k7, evals = _dp_step(x, y, z, v, w, h, k1, abs_tol, rel_tol)
+        rhs_evals += evals
         if err > 1.0:
             # rejected: shrink and maybe flag a finite-time blow-up
+            rejected += 1
             h *= max(0.2, 0.9 * err**-0.2) if math.isfinite(err) else 0.2
             if h < 1e-14 * max(1.0, abs(t)):
                 grew = len(recent_v) >= 10 and recent_v[-1] > 2.0 * recent_v[0]
@@ -321,48 +385,59 @@ def integrate(cd: ConnectionData, init: ChartState, cfg: IntegratorConfig) -> Tr
                     stop = "step_underflow"
                 break
             continue
+        accepted += 1
         t += h
-        z, v, w = z5, v5, w5
+        z, v, w, k1 = z5, v5, w5, k7
         h *= min(5.0, max(0.2, 0.9 * err**-0.2 if err > 0 else 5.0))
-        h = min(h, max(cfg.record_stride, STRIDE_REL * abs(t)))
+        cap = STRIDE_REL * abs(t)
+        if cap < record_stride:
+            cap = record_stride
+        if cap < h:
+            h = cap
 
         if v == 0:
             stop = "fiber_underflow"
             break
         recent_v.append(abs(v))
-        if len(recent_v) > 10:
-            recent_v.pop(0)
         # horizontal first integral: exp(w) v / v_ref == 1 per chart segment;
         # evaluated in log form so near-blow-up states cannot overflow
         dev = w + cmath.log(v / v_ref)
-        dev = complex(dev.real, _wrap_angle(dev.imag))
+        if not -math.pi < dev.imag <= math.pi:
+            dev = complex(dev.real, _wrap_angle(dev.imag))
         if abs(dev.real) < 30:
-            drift = max(drift, abs(cmath.exp(dev) - 1.0))
+            d = abs(cmath.exp(dev) - 1.0)
+            if d > drift:
+                drift = d
         else:
             drift = math.inf
         drifts.append(drift)
 
         state = ChartState(chart, z, v, t)
-        if not cd.single_chart and abs(z) > SWITCH_OUT:
+        if not single and abs(z) > SWITCH_OUT:
             state = chart_transition(state, cd.nu)
             chart, z, v = state.chart, state.zeta, state.v
             x, y = cd.chart_polys(chart)
             w = 0j
             v_ref = v
             prev_speed = None
+            k1 = None
             events.append(Event(kind=EV_SWITCH, t=t))
         samples.append(state)
 
-        here = sphere(chart, z)
-        if abs(v) > cfg.escape_radius or (cd.single_chart and abs(z) > cfg.zeta_escape_radius):
+        hx, hy, hz = sphere(chart, z)
+        if abs(v) > escape_radius or (single and abs(z) > cfg.zeta_escape_radius):
             events.append(Event(kind=EV_ESCAPE, t=t))
             stop = "escape"
             break
-        # pole approach: chordal proximity with decreasing speed
-        speed = abs(poly_eval(x, z) * v)
+        # pole approach: chordal proximity with decreasing speed |X(z) v|,
+        # which is the first part of the next step's stage 1
+        if k1 is None:
+            k1 = _rhs3(x, y, z, v)
+            rhs_evals += 1
+        speed = abs(k1[0])
         hit = None
-        for sph, pt in pole_pts:
-            if chordal(here, sph) < cfg.pole_radius:
+        for qx, qy, qz, pt in pole_pts:
+            if 0.5 * sqrt((hx - qx) ** 2 + (hy - qy) ** 2 + (hz - qz) ** 2) < pole_radius:
                 hit = pt
                 break
         if hit is not None and (prev_speed is None or speed <= prev_speed * (1 + 1e-9)):
@@ -372,11 +447,12 @@ def integrate(cd: ConnectionData, init: ChartState, cfg: IntegratorConfig) -> Tr
         prev_speed = speed
         # closed-return watch; the capture radius follows the sample spacing,
         # and refinement waits until the approach is interior to the window
-        ds = chordal(here, prev_sphere)
-        prev_sphere = here
+        ds = 0.5 * sqrt((hx - px) ** 2 + (hy - py) ** 2 + (hz - pz) ** 2)
+        px, py, pz = hx, hy, hz
         capture = max(RETURN_RADIUS, 1.5 * ds)
-        dist0 = chordal(here, start_sphere)
-        excursion = max(excursion, dist0)
+        dist0 = 0.5 * sqrt((hx - sx0) ** 2 + (hy - sy0) ** 2 + (hz - sz0) ** 2)
+        if dist0 > excursion:
+            excursion = dist0
         if excursion > 8 * capture and dist0 > 4 * capture:
             returned_arm = True
         if returned_arm and dist0 < capture and len(samples) >= 3:
@@ -394,11 +470,14 @@ def integrate(cd: ConnectionData, init: ChartState, cfg: IntegratorConfig) -> Tr
     else:
         stop = "max_steps"
 
-    if stop is None:
-        stop = "t_max"
-    traj = Trajectory(
-        samples, events, drift, drifts, diagnostics={"stop": stop, "steps": steps}
-    )
+    diagnostics = {
+        "stop": stop,
+        "steps": steps,
+        "accepted": accepted,
+        "rejected": rejected,
+        "rhs_evals": rhs_evals,
+    }
+    traj = Trajectory(samples, events, drift, drifts, diagnostics=diagnostics)
     if cfg.classify:
         _classify_into(traj, cd, cfg)
     return traj

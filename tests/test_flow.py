@@ -4,14 +4,16 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from merocon.algebra import poly_eval
 from merocon.fields import (
     CHART_INF,
     CHART_ZERO,
     HomogeneousField,
     ProjPoint,
+    chart_polynomials,
     connection_data,
     model_connection,
     model_connection_apparent,
@@ -20,6 +22,8 @@ from merocon.flow import (
     ChartState,
     IntegratorConfig,
     Trajectory,
+    _dp_step,
+    _rhs3,
     batch_sweep,
     chart_transition,
     classify_omega_limit,
@@ -504,3 +508,175 @@ class TestSweep:
         za = [s.zeta for s in a[0].trajectory.samples]
         zb = [s.zeta for s in b[1].trajectory.samples]
         assert za == zb
+
+
+# ---------------------------------------------------------------------------
+# slow reference: the generic Dormand-Prince 5(4) tableau loop, kept as it was
+# before the straight-line FSAL step replaced it, to check that step bit for bit
+# ---------------------------------------------------------------------------
+
+REF_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+REF_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+REF_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+
+
+def ref_rhs(x, y, z, v):
+    xv = poly_eval(x, z)
+    yv = poly_eval(y, z) if y else 0j
+    yvv = yv * v
+    return (xv * v, -yvv * v, yvv)
+
+
+def ref_step(x, y, z, v, w, h, abs_tol, rel_tol):
+    """(z5, v5, w5, err, RHS evaluations); err = inf when a stage is not finite."""
+    k = []
+    for i in range(7):
+        zi, vi = z, v
+        for j, aij in enumerate(REF_A[i]):
+            if aij:
+                zi += h * aij * k[j][0]
+                vi += h * aij * k[j][1]
+        ki = ref_rhs(x, y, zi, vi)
+        if not all(math.isfinite(p) for c in ki[:2] for p in (c.real, c.imag)):
+            return None, None, None, math.inf, i + 1
+        k.append(ki)
+    z5, v5, w5 = z, v, w
+    z4, v4 = z, v
+    for i in range(7):
+        z5 += h * REF_B5[i] * k[i][0]
+        v5 += h * REF_B5[i] * k[i][1]
+        w5 += h * REF_B5[i] * k[i][2]
+        z4 += h * REF_B4[i] * k[i][0]
+        v4 += h * REF_B4[i] * k[i][1]
+    sc_z = abs_tol + rel_tol * max(abs(z), abs(z5))
+    sc_v = abs_tol + rel_tol * max(abs(v), abs(v5))
+    err = math.sqrt(0.5 * ((abs(z5 - z4) / sc_z) ** 2 + (abs(v5 - v4) / sc_v) ** 2))
+    return z5, v5, w5, err, 7
+
+
+def bits(*values):
+    # repr tells -0.0 from 0.0 and round-trips every finite double
+    return repr(values)
+
+
+def check_step(x, y, z, v, w, h, abs_tol=1e-12, rel_tol=1e-9):
+    """The FSAL step agrees with the tableau loop; returns the reference result."""
+    k1 = _rhs3(x, y, z, v)
+    assert bits(*k1) == bits(*ref_rhs(x, y, z, v))
+    try:
+        want = ref_step(x, y, z, v, w, h, abs_tol, rel_tol)
+    except OverflowError:
+        # finite stages whose error ratio squares past the float range
+        with pytest.raises(OverflowError):
+            _dp_step(x, y, z, v, w, h, k1, abs_tol, rel_tol)
+        return None
+    z5, v5, w5, err, k7, evals = _dp_step(x, y, z, v, w, h, k1, abs_tol, rel_tol)
+    assert bits(z5, v5, w5, err) == bits(*want[:4])
+    # stage 1 is evaluated by the caller, so the step makes one call fewer
+    assert evals == want[4] - 1
+    if err == math.inf:
+        assert k7 is None
+    elif k7 is not None:
+        # the hand-on is exactly the stage 1 the next step would evaluate
+        assert bits(*k7) == bits(*ref_rhs(x, y, z5, v5))
+    else:
+        assert not (z5.real and z5.imag and v5.real and v5.imag)
+    return want
+
+
+FINITE = st.floats(-3, 3, allow_nan=False, allow_infinity=False)
+STATE = st.one_of(
+    st.builds(complex, FINITE, FINITE),
+    # a zero part of either sign: the real axis, the imaginary axis, the origin
+    st.builds(complex, FINITE, st.sampled_from([0.0, -0.0])),
+    st.builds(complex, st.sampled_from([0.0, -0.0]), FINITE),
+)
+
+
+@st.composite
+def field_charts(draw):
+    """Chart polynomials (x, y) of a random field of degree nu + 1, nu in 1..3."""
+    nu = draw(st.integers(1, 3))
+    q1 = tuple(draw(st.builds(complex, FINITE, FINITE)) for _ in range(nu + 2))
+    q2 = tuple(draw(st.builds(complex, FINITE, FINITE)) for _ in range(nu + 2))
+    assume(max(map(abs, q1 + q2)) > 0)
+    x0, y0, xinf, yinf = chart_polynomials(HomogeneousField(nu, q1, q2))
+    return (x0, y0) if draw(st.booleans()) else (xinf, yinf)
+
+
+class TestStepper:
+    @given(field_charts(), STATE, STATE, STATE, st.floats(1e-6, 0.05))
+    # the real axis of a real field: every imaginary part is a signed zero
+    @example(((0j, 1 + 0j), (0.5 + 0j,)), 0.5 + 0j, 1 - 0j, -0j, 0.01)
+    # the zero weights turn the imaginary part of z5 from -0.0 to 0.0 ...
+    @example(
+        (
+            (complex(-0.0, -1.8596691805031753), complex(0.0, -0.7011150856125146),
+             complex(-0.0, -0.8362130827165708)),
+            (),
+        ),
+        complex(0.8833982274720256, -0.0), complex(0.0, -0.9370375592620122), 0j,
+        1.7411472892197692,
+    )
+    # ... and the real part of w5 from -0.0 to 0.0
+    @example(
+        (
+            (0.7051676286355328j, complex(-0.0, -0.3598754531763779),
+             complex(-0.0, 1.9394087989621003), complex(0.0, -1.9341217982732948),
+             0.7329759022928366j),
+            (complex(-0.0, -0.7956627378752326),),
+        ),
+        complex(-0.0, -0.5851191616567779), complex(0.0, -0.8030982546564822),
+        complex(-0.0, -0.0), 1.4029693641777805,
+    )
+    def test_step_matches_tableau_loop(self, xy, z, v, w, h):
+        check_step(*xy, z, v, w, h)
+
+    @given(field_charts(), STATE, STATE, st.integers(-8, 12))
+    def test_step_matches_across_step_sizes(self, xy, z, v, e):
+        # large steps leave the region of accuracy: rejections and overflows
+        check_step(*xy, z, v, 0.5 - 0.25j, 10.0**e)
+
+    def test_stage_overflow_is_rejected(self):
+        # each stage in turn is the first that is not finite as h grows
+        x, y = chart_polynomials(HomogeneousField(2, (1, -2j, 0.5, 1), (0.3, 1, 2j, -1)))[:2]
+        first_bad = set()
+        for e in range(-8, 1200):
+            want = check_step(x, y, 0.4 + 0.2j, 0.9 - 0.3j, 0j, 10.0 ** (e / 4))
+            if want is not None and want[3] == math.inf:
+                first_bad.add(want[4])
+        assert first_bad == {2, 3, 4, 5, 6, 7}
+        # stage 1 itself not finite: every attempt from that state is rejected
+        assert check_step(x, y, 1e120 + 0j, 1.0 + 0j, 0j, 1e-3)[3:] == (math.inf, 1)
+
+    def test_step_counters(self):
+        # nu = 2, X = i(zeta^2 - 1), Y = 0 in chart 0: a slow spiral round +-1
+        # that crosses both switch radii on every turn
+        cd = connection_data(HomogeneousField(2, (0, 0, 0, 0), (-1j, 0, 1j, 0)))
+        traj = integrate(cd, ChartState(CHART_ZERO, 0.4 + 0.1j, 1 + 0.01j, 0.0),
+                         IntegratorConfig(t_max=40.0, classify=False))
+        d = traj.diagnostics
+        switches = sum(e.kind == "chart_switch" for e in traj.events)
+        assert switches >= 20 and d["rejected"] > 0
+        # steps counts loop passes; a run that reaches t_max ends on a pass
+        # that attempts no step
+        assert d["accepted"] + d["rejected"] == d["steps"] - (d["stop"] == "t_max")
+        assert d["accepted"] == len(traj.samples) - 1
+        # six evaluations per attempt; fresh ones only at the start and after
+        # each switch
+        assert 6 * (d["accepted"] + d["rejected"]) + 1 <= d["rhs_evals"]
+        assert d["rhs_evals"] <= 6 * d["steps"] + 1 + switches
+        # the limit run: it stops on the budget, where steps are all attempts
+        short = integrate(cd, ChartState(CHART_ZERO, 0.4 + 0.1j, 1 + 0.01j, 0.0),
+                          IntegratorConfig(t_max=40.0, classify=False, max_steps=300))
+        s = short.diagnostics
+        assert s["stop"] == "max_steps"
+        assert s["accepted"] + s["rejected"] == s["steps"] == 300
