@@ -7,6 +7,12 @@
 # along exact trajectories (horizontal first integral); its drift is the main
 # accuracy diagnostic.  The stepper is FSAL Dormand-Prince 5(4), six RHS
 # evaluations per step.
+#
+# The omega tests read the samples as one numpy array of sphere points
+# (_sphere_array, equal to ChartState.sphere bit for bit).  Before the
+# crossing search, integrate asks a Gauss-Bonnet certificate (_cannot_cross)
+# whether the geodesic can cross itself at all, and skips the search when it
+# cannot.
 
 from __future__ import annotations
 
@@ -43,6 +49,7 @@ RETURN_RADIUS = 2e-3  # chordal closed-return capture
 MAX_CROSSINGS = 4000  # candidate crossings refined per trajectory, earliest first
 MIN_CROSSING_ANGLE = 0.02  # smallest |external angle| of a reported crossing
 LOOP_CLOSURE_TOL = 5e-2  # chordal gap allowed between a loop's endpoints
+CROSSING_ARG_MARGIN = 0.5  # radians the crossing certificate keeps below 2 pi
 
 EV_POLE = "pole_approach"
 EV_ESCAPE = "escape"
@@ -633,15 +640,16 @@ def detect_self_intersections(traj: Trajectory, cd: ConnectionData) -> list[Even
     samples = traj.samples
     if len(samples) < 3:
         return []
-    pts = [s.sphere() for s in samples]
+    sphere = _sphere_array(samples)
+    # the chord solves run on Python floats, far faster than numpy scalars
+    pts = sphere.tolist()
     times = [s.t for s in samples]
     raw: list[tuple[float, float, int, int]] = []
-    for lo, hi in _reach_pairs(pts):
+    for lo, hi in _reach_pairs(sphere, pts):
         got = _segment_crossing(pts, samples, lo, hi)
         if got is not None:
             raw.append((got[0], got[1], lo, hi))
     raw.sort()
-    sphere = np.array(pts)
     events: list[Event] = []
     for t1, t2, i, j in raw[:MAX_CROSSINGS]:
         gap = 1.5 * max(times[i + 1] - times[i], times[j + 1] - times[j])
@@ -663,15 +671,15 @@ _NEIGHBOUR_KEYS = (
 )
 
 
-def _reach_pairs(pts: list[tuple[float, float, float]]) -> list[tuple[int, int]]:
+def _reach_pairs(p: np.ndarray, pts: list) -> list[tuple[int, int]]:
     """Segment pairs (i, j), j >= i + 2, with |m_i - m_j| <= (l_i + l_j) / 2.
 
+    p holds the (n, 3) sphere points and pts the same points as Python lists.
     m and l are chord midpoints and lengths; two chords that cross pass this
     test.  Segment i is bucketed at the level L(i) with 2^L(i) > l_i, keyed
     by its midpoint's cell of side 2^L(i); each pair is looked up from its
     shorter segment among the cells at the longer one's level.
     """
-    p = np.array(pts)
     mids = 0.5 * (p[:-1] + p[1:])
     lengths = np.array([math.dist(a, b) for a, b in zip(pts, pts[1:])])
     n = len(lengths)
@@ -757,7 +765,7 @@ def _gnomonic_cross(
 
 
 def _segment_crossing(
-    pts: list[tuple[float, float, float]],
+    pts: list,
     samples: Sequence[ChartState],
     i: int,
     j: int,
@@ -884,10 +892,36 @@ def _span(times: list[float], t1: float, t2: float) -> slice:
     return slice(bisect.bisect_left(times, t1), bisect.bisect_right(times, t2))
 
 
-def _loop_points(
-    samples: Sequence[ChartState], times: list[float], t1: float, t2: float
-) -> np.ndarray:
-    return np.array([s.sphere() for s in samples[_span(times, t1, t2)]]).reshape(-1, 3)
+def _chart_coords(samples: Sequence[ChartState]) -> tuple[np.ndarray, np.ndarray]:
+    """The samples' coordinates, and a mask of those in the chart at infinity."""
+    z = np.array([s.zeta for s in samples], dtype=complex)
+    far = np.array([s.chart != CHART_ZERO for s in samples], dtype=bool)
+    return z, far
+
+
+def _sphere_array(samples: Sequence[ChartState]) -> np.ndarray:
+    """(n, 3) unit-sphere images of the samples, equal to ChartState.sphere
+    bit for bit: fields.sphere's expressions, evaluated in the same order.
+    """
+    z, far = _chart_coords(samples)
+    re, im = z.real, z.imag
+    out = np.empty((len(z), 3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = re * re + im * im
+        d = 1.0 + n
+        out[:, 0] = 2 * re / d
+        out[:, 1] = np.where(far, -2 * im, 2 * im) / d
+        out[:, 2] = np.where(far, 1 - n, n - 1) / d
+    return out
+
+
+def _chordal_rows(p: np.ndarray, q) -> np.ndarray:
+    """fields.chordal(row, q) for each row of p (or along the last axis), bit
+    for bit: Python's x ** 2 is libm pow, which np.float_power calls and which
+    can differ from x * x in the last bit.
+    """
+    sq = np.float_power(p - q, 2.0)
+    return 0.5 * np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
 
 
 def _enclosed_poles(
@@ -1026,7 +1060,9 @@ def loop_multiplier(
         raise ValueError("loop endpoints do not coincide within tolerance")
     chart = s1.chart
     m_measured = _tangent_in_chart(s2, cd, chart) / _tangent_in_chart(s1, cd, chart)
-    enclosed, res_sum, orient, _ = _enclosed_poles(_loop_points(samples, times, t1, t2), cd)
+    enclosed, res_sum, orient, _ = _enclosed_poles(
+        _sphere_array(samples[_span(times, t1, t2)]), cd
+    )
     if res_sum is None:
         predicted = complex("nan")
     else:
@@ -1044,13 +1080,59 @@ INTERSECTION_THRESHOLD = 25
 
 
 def _classify_into(traj: Trajectory, cd: ConnectionData, cfg: IntegratorConfig) -> None:
-    crossings = detect_self_intersections(traj, cd)
+    if _cannot_cross(traj.samples, cd):
+        crossings = []
+    else:
+        crossings = detect_self_intersections(traj, cd)
     traj.events.extend(crossings)
     traj.events.sort(key=lambda e: e.t)
     omega, direction, extra = classify_omega_limit(traj, cd, cfg, crossings)
     traj.omega_class = omega
     traj.omega_direction = direction
     traj.diagnostics.update(extra)
+
+
+def _cannot_cross(samples: Sequence[ChartState], cd: ConnectionData) -> bool:
+    """True when the sampled geodesic has no transversal self-crossing.
+
+    The loop of a first crossing is simple.  By Gauss-Bonnet its external
+    angle is 2 pi (1 + Re sum Res) mod 2 pi over either disc it bounds, and
+    a transversal crossing's angle lies in (-pi, pi) and is not 0; so each
+    disc holds an induced pole whose residue has a non-integer real part.
+    With two such poles p, q, arg((sigma - p) / (sigma - q)) changes by
+    2 pi along the loop.  The curve is cleared when, for every pair, the
+    unwrapped arg over the samples spans less than 2 pi minus
+    CROSSING_ARG_MARGIN, counting twice the largest step between two
+    samples for the loop's ends.  Only geodesics obey the identity: any
+    other curve needs the full search.
+    """
+    res = [d.induced_residue for d in cd.directions]
+    # a residue that is not finite counts too
+    poles = [d.point.representative() for d, r in zip(cd.directions, res)
+             if not r.real.is_integer()]
+    if cd.single_chart:
+        # the model's chart infinity carries the rest of the sum -2
+        if not (-2 - sum(res)).real.is_integer():
+            poles.append((0j, 1 + 0j))
+    if len(poles) < 2 or len(samples) < 3:
+        return True
+    # homogeneous sample coordinates: [1 : zeta] in chart 0, [zeta : 1] at infinity
+    z, far = _chart_coords(samples)
+    s0 = np.where(far, z, 1)
+    s1 = np.where(far, 1, z)
+    limit = 2 * math.pi - CROSSING_ARG_MARGIN
+    with np.errstate(all="ignore"):
+        dets = [s0 * p1 - s1 * p0 for p0, p1 in poles]
+        for a, b in itertools.combinations(dets, 2):
+            ratio = a / b
+            if not (np.isfinite(ratio).all() and ratio.all()):
+                return False
+            step = np.angle(ratio[1:] / ratio[:-1])
+            arg = np.cumsum(step)
+            span = max(float(arg.max()), 0.0) - min(float(arg.min()), 0.0)
+            if not span + 2 * float(np.abs(step).max()) < limit:
+                return False
+    return True
 
 
 def classify_omega_limit(
@@ -1088,23 +1170,27 @@ def classify_omega_limit(
             ]
             extra["simple_loop_residue_sums"] = windows
             return OMEGA_INFINITE, None, extra
-    acc = _accumulation_test(traj, cd)
+    pts = _sphere_array(traj.samples)
+    acc = _accumulation_test(traj, cd, pts)
     if acc is not None:
         extra.update(acc)
         return OMEGA_ACC_CLOSED, None, extra
-    shuttle = _cycle_heuristic(traj, cd, cfg)
+    shuttle = _cycle_heuristic(pts, cd, cfg)
     if shuttle:
         extra["shuttle_poles"] = shuttle
         return OMEGA_CYCLE, None, extra
     return OMEGA_UNDETERMINED, None, extra
 
 
-def _accumulation_test(traj: Trajectory, cd: ConnectionData) -> Optional[dict]:
+def _accumulation_test(
+    traj: Trajectory, cd: ConnectionData, pts: np.ndarray
+) -> Optional[dict]:
     """Detect late-time convergence to the support of a closed loop.
 
     Uses a section through a late reference point: consecutive near-returns
     cut the tail into loops; the classification asks the loops to converge
-    in Hausdorff distance while the return offsets shrink.
+    in Hausdorff distance while the return offsets shrink.  pts holds the
+    samples' sphere points.
     """
     samples = traj.samples
     if traj.diagnostics.get("stop") not in ("t_max", "max_steps"):
@@ -1116,21 +1202,13 @@ def _accumulation_test(traj: Trajectory, cd: ConnectionData) -> Optional[dict]:
     if ref_idx >= len(samples) - 10:
         return None
     ref = samples[ref_idx].sphere()
-    # sample-level local minima of the distance to the reference point
-    hits: list[int] = []
-    dists = [chordal(samples[i].sphere(), ref) for i in range(ref_idx, len(samples))]
-    i = 5
-    while i < len(dists) - 1:
-        if dists[i] < dists[i - 1] and dists[i] <= dists[i + 1] and dists[i] < 0.1:
-            hits.append(ref_idx + i)
-            i += 5
-        else:
-            i += 1
+    hits = _near_returns(_chordal_rows(pts[ref_idx:], ref))
     if len(hits) < 2:
         return None
     # refine each near-return on the interpolant
     refined: list[tuple[float, ChartState, float]] = []
-    for h_idx in hits:
+    for i in hits:
+        h_idx = ref_idx + i
         got = _closest_approach(samples, cd, ref, max(ref_idx, h_idx - 3), h_idx + 3)
         if got is not None:
             refined.append(got)
@@ -1138,10 +1216,7 @@ def _accumulation_test(traj: Trajectory, cd: ConnectionData) -> Optional[dict]:
         return None
     bounds_t = [samples[ref_idx].t] + [r[0] for r in refined]
     times = traj.sample_times()
-    # _hausdorff iterates Python floats, far faster than numpy scalars
-    loops = [
-        _loop_points(samples, times, a, b).tolist() for a, b in zip(bounds_t, bounds_t[1:])
-    ]
+    loops = [pts[_span(times, a, b)] for a, b in zip(bounds_t, bounds_t[1:])]
     loops = [lp for lp in loops if len(lp) >= 3]
     if len(loops) < 2:
         return None
@@ -1160,7 +1235,7 @@ def _accumulation_test(traj: Trajectory, cd: ConnectionData) -> Optional[dict]:
     if tan0 and tan1:
         angle = _wrap_angle(cmath.phase(tan1 / tan0))
         enclosed, res_sum, orient, resolved = _enclosed_poles(
-            _loop_points(samples, times, t_a, t_b), cd
+            pts[_span(times, t_a, t_b)], cd
         )
         if res_sum is not None and resolved:
             residual = _gauss_bonnet_residual(angle, res_sum, orient)
@@ -1171,30 +1246,50 @@ def _accumulation_test(traj: Trajectory, cd: ConnectionData) -> Optional[dict]:
     }
 
 
-def _hausdorff(a: list, b: list) -> float:
+def _near_returns(dists: np.ndarray) -> list[int]:
+    """Sample-level local minima of a distance below 0.1, from index 5 on,
+    each at least 5 samples after the one before.
+    """
+    here = dists[5:-1]
+    minima = np.flatnonzero((here < dists[4:-2]) & (here <= dists[6:]) & (here < 0.1)) + 5
+    hits: list[int] = []
+    for i in minima.tolist():
+        if not hits or i >= hits[-1] + 5:
+            hits.append(i)
+    return hits
+
+
+_HAUSDORFF_ROWS = 64  # rows of a per distance block, which bounds its memory
+
+
+def _hausdorff(a: np.ndarray, b: np.ndarray) -> float:
+    """max over the rows p of a of min over the rows q of b of chordal(p, q)."""
     worst = 0.0
-    for p in a:
-        best = min(chordal(p, q) for q in b)
-        worst = max(worst, best)
+    for lo in range(0, len(a), _HAUSDORFF_ROWS):
+        block = _chordal_rows(a[lo : lo + _HAUSDORFF_ROWS, None, :], b[None, :, :])
+        worst = max(worst, float(block.min(axis=1).max()))
     return worst
 
 
 def _cycle_heuristic(
-    traj: Trajectory, cd: ConnectionData, cfg: IntegratorConfig
+    pts: np.ndarray, cd: ConnectionData, cfg: IntegratorConfig
 ) -> list[int]:
-    """Alternating visits to several pole neighborhoods, forward tail only."""
+    """Alternating visits to several pole neighborhoods.
+
+    Every sample counts, the backward half of a two-sided run included; a
+    sample visits the first direction within the radius.
+    """
     radius = max(5 * cfg.pole_radius, 0.05)
-    visits: list[int] = []
     poles = [d.point.sphere() for d in cd.directions]
-    for s in traj.samples:
-        here = s.sphere()
-        for k, sph in enumerate(poles):
-            if chordal(here, sph) < radius:
-                if not visits or visits[-1] != k:
-                    visits.append(k)
-                break
-    distinct = sorted(set(visits))
-    if len(distinct) >= 2 and len(visits) >= 4:
+    if not poles:
+        return []
+    near = np.stack([_chordal_rows(pts, q) < radius for q in poles], axis=1)
+    first = near.argmax(axis=1)[near.any(axis=1)]
+    # a visit repeats a direction only after a visit to another
+    change = np.ones(len(first), dtype=bool)
+    change[1:] = first[1:] != first[:-1]
+    visits = first[change].tolist()
+    if len(set(visits)) >= 2 and len(visits) >= 4:
         return visits
     return []
 

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,12 +9,14 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from merocon.algebra import poly_eval
+from merocon.atlas import AtlasLabel, template_field
 from merocon.fields import (
     CHART_INF,
     CHART_ZERO,
     HomogeneousField,
     ProjPoint,
     chart_polynomials,
+    chordal,
     connection_data,
     model_connection,
     model_connection_apparent,
@@ -22,8 +25,14 @@ from merocon.flow import (
     ChartState,
     IntegratorConfig,
     Trajectory,
+    _cannot_cross,
+    _chordal_rows,
+    _cycle_heuristic,
     _dp_step,
+    _hausdorff,
+    _near_returns,
     _rhs3,
+    _sphere_array,
     batch_sweep,
     chart_transition,
     classify_omega_limit,
@@ -454,6 +463,208 @@ class TestCrossingSearch:
         events = detect_self_intersections(traj, cd)
         assert len(events) >= 25
         assert events == reference_crossings(traj, cd)
+
+
+# the oracles workload's configuration and its C210 template, whose two
+# poles have residues of non-integer real part
+ORACLE_CFG = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-13, t_max=5.0, record_stride=0.05)
+C210 = template_field(AtlasLabel("C210", rho=0.35 + 0.25j))
+
+
+@st.composite
+def random_geodesics(draw):
+    """A random field of degree nu + 1, nu in 1..3, four starts and one t_max."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    nu = draw(st.integers(1, 3))
+    t_max = draw(st.sampled_from([5.0, 30.0, 100.0]))
+
+    def gauss():
+        return complex(rng.gauss(0, 1), rng.gauss(0, 1))
+
+    while True:
+        q1 = tuple(gauss() for _ in range(nu + 2))
+        q2 = tuple(gauss() for _ in range(nu + 2))
+        try:
+            cd = connection_data(HomogeneousField(nu, q1, q2))
+        except (ValueError, RuntimeError):  # dicritical, or roots not resolved
+            continue
+        break
+    starts = [lift_nu_polar((gauss(), gauss()), nu) for _ in range(4)]
+    return cd, starts, IntegratorConfig(t_max=t_max, max_steps=20_000, classify=False)
+
+
+class TestCrossingCertificate:
+    @given(random_geodesics())
+    def test_cleared_geodesics_do_not_cross(self, case):
+        cd, starts, cfg = case
+        for init in starts:
+            traj = integrate(cd, init, cfg)
+            if _cannot_cross(traj.samples, cd):
+                assert detect_self_intersections(traj, cd) == []
+
+    def test_figure_one_is_searched(self):
+        # the model's two poles, 0 and its chart infinity, both count
+        cd = model_connection(1, 0.1)
+        cfg = IntegratorConfig(
+            rel_tol=1e-10, abs_tol=1e-13, t_max=60.0, record_stride=0.02,
+            two_sided=True, zeta_escape_radius=4.0, classify=False,
+        )
+        traj = integrate(cd, ChartState(CHART_ZERO, 1.0, 1.0 + 1.0j, 0.0), cfg)
+        assert not _cannot_cross(traj.samples, cd)
+        assert len(detect_self_intersections(traj, cd)) == 2
+
+    def test_c210_crossing_is_searched(self):
+        # an oracles start (seed 3705) whose loop separates the two poles
+        cd = connection_data(C210)
+        w = (-0.7714245612088115 + 0.4124838927134462j, -0.11038487967975574 - 0.6565027968845698j)
+        traj = integrate(cd, lift_nu_polar(w, 1), replace(ORACLE_CFG, classify=False))
+        assert not _cannot_cross(traj.samples, cd)
+        (event,) = detect_self_intersections(traj, cd)
+        assert abs(abs(event.external_angle) - 2 * math.pi * 0.35) < 1e-6
+        # integrate runs the search on its own
+        full = integrate(cd, lift_nu_polar(w, 1), ORACLE_CFG)
+        assert [e for e in full.events if e.kind == "self_intersection"] == [event]
+
+    @pytest.mark.parametrize("name", ["C100", "C2001", "C3100"])
+    def test_integer_residue_templates_are_cleared(self, name):
+        # fewer than two poles count, so not one sample is read
+        cd = connection_data(template_field(AtlasLabel(name)))
+        assert _cannot_cross([None] * 10, cd)
+        traj = integrate(cd, lift_nu_polar((0.6 + 0.3j, -0.4 + 0.5j), 1), ORACLE_CFG)
+        assert not [e for e in traj.events if e.kind == "self_intersection"]
+
+    def test_integer_residue_model_is_cleared(self):
+        # figure two: Re rho = 0, so neither 0 nor the chart infinity counts
+        assert _cannot_cross([None] * 10, model_connection(1, 1j))
+
+    def test_unresolved_ratio_runs_the_search(self):
+        # a sample on a pole gives a zero ratio, which the certificate refuses
+        cd = connection_data(C210)
+        samples = [ChartState(CHART_ZERO, z, 1.0, float(k))
+                   for k, z in enumerate([0.5, 0.25, 0j, 0.25j])]
+        assert not _cannot_cross(samples, cd)
+
+
+# ---------------------------------------------------------------------------
+# slow references: the pure-Python omega tests, kept as they were before the
+# numpy sphere array replaced them, to check the new ones bit for bit
+# ---------------------------------------------------------------------------
+
+def ref_hausdorff(a, b):
+    worst = 0.0
+    for p in a:
+        best = min(chordal(p, q) for q in b)
+        worst = max(worst, best)
+    return worst
+
+
+def ref_cycle_heuristic(traj, cd, cfg):
+    radius = max(5 * cfg.pole_radius, 0.05)
+    visits = []
+    poles = [d.point.sphere() for d in cd.directions]
+    for s in traj.samples:
+        here = s.sphere()
+        for k, sph in enumerate(poles):
+            if chordal(here, sph) < radius:
+                if not visits or visits[-1] != k:
+                    visits.append(k)
+                break
+    distinct = sorted(set(visits))
+    if len(distinct) >= 2 and len(visits) >= 4:
+        return visits
+    return []
+
+
+def ref_near_returns(dists):
+    hits = []
+    i = 5
+    while i < len(dists) - 1:
+        if dists[i] < dists[i - 1] and dists[i] <= dists[i + 1] and dists[i] < 0.1:
+            hits.append(i)
+            i += 5
+        else:
+            i += 1
+    return hits
+
+
+# |zeta| from 1e-8 to 1e8 at any phase, and the axes with zeros of either sign
+ZETA = st.one_of(
+    st.builds(cmath.rect, st.floats(-8, 8).map(lambda e: 10.0**e), st.floats(-4, 4)),
+    st.builds(complex, st.floats(-1e8, 1e8), st.sampled_from([0.0, -0.0])),
+    st.builds(complex, st.sampled_from([0.0, -0.0]), st.floats(-1e8, 1e8)),
+)
+SAMPLE = st.builds(
+    lambda chart, z: ChartState(chart, z, 1.0 + 0j, 0.0),
+    st.sampled_from([CHART_ZERO, CHART_INF]),
+    ZETA,
+)
+
+
+def random_samples(rng, n, cd=None, spread=1.0):
+    """n samples at random charts and coordinates; with cd, about half of them
+    near its directions, where the cycle heuristic looks.
+    """
+    out = []
+    for k in range(n):
+        z = complex(rng.gauss(0, spread), rng.gauss(0, spread))
+        chart = rng.choice([CHART_ZERO, CHART_INF])
+        if cd is not None and rng.random() < 0.5:
+            d = rng.choice(cd.directions).point
+            chart, z = d.chart, d.coord + 0.03 * z
+        out.append(ChartState(chart, z, 1.0 + 0j, float(k)))
+    return out
+
+
+class TestSphereArrays:
+    @given(st.lists(SAMPLE, min_size=1, max_size=30))
+    def test_sphere_array_matches_sphere(self, samples):
+        got = _sphere_array(samples)
+        assert got.shape == (len(samples), 3)
+        assert bits(*got.ravel().tolist()) == bits(*[x for s in samples for x in s.sphere()])
+
+    @given(st.lists(SAMPLE, min_size=1, max_size=30), SAMPLE)
+    def test_row_chordal_matches_chordal(self, samples, other):
+        q = other.sphere()
+        got = _chordal_rows(_sphere_array(samples), q)
+        assert bits(*got.tolist()) == bits(*[chordal(s.sphere(), q) for s in samples])
+
+    def test_row_chordal_is_libm_pow(self):
+        # x * x differs from Python's x ** 2 in about 1 of 1000 draws
+        rng = random.Random(17)
+        samples = random_samples(rng, 20_000)
+        q = (0.6, -0.48, 0.64)
+        got = _chordal_rows(_sphere_array(samples), q).tolist()
+        assert got == [chordal(s.sphere(), q) for s in samples]
+
+    @given(st.integers(1, 200), st.integers(1, 80), st.integers(0, 2**32 - 1))
+    def test_hausdorff_matches_reference(self, n_a, n_b, seed):
+        rng = random.Random(seed)
+        a = _sphere_array(random_samples(rng, n_a))
+        b = _sphere_array(random_samples(rng, n_b, spread=0.3))
+        want = ref_hausdorff(a.tolist(), b.tolist())
+        assert bits(_hausdorff(a, b)) == bits(want)
+        assert bits(_hausdorff(b, a)) == bits(ref_hausdorff(b.tolist(), a.tolist()))
+
+    @given(st.integers(1, 3), st.integers(1, 150), st.sampled_from([1e-3, 0.02, 0.1]),
+           st.integers(0, 2**32 - 1))
+    def test_cycle_heuristic_matches_reference(self, nu, n, pole_radius, seed):
+        rng = random.Random(seed)
+        q1 = tuple(complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(nu + 2))
+        q2 = tuple(complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(nu + 2))
+        try:
+            cd = connection_data(HomogeneousField(nu, q1, q2))
+        except (ValueError, RuntimeError):
+            assume(False)
+        samples = random_samples(rng, n, cd)
+        cfg = IntegratorConfig(pole_radius=pole_radius)
+        want = ref_cycle_heuristic(Trajectory(samples, [], 0.0), cd, cfg)
+        assert _cycle_heuristic(_sphere_array(samples), cd, cfg) == want
+
+    @given(st.lists(st.integers(0, 12), min_size=0, max_size=120))
+    def test_near_returns_matches_reference(self, levels):
+        # coarse levels make ties, where < and <= part
+        dists = [k / 60 for k in levels]
+        assert _near_returns(np.array(dists)) == ref_near_returns(dists)
 
 
 class TestOmegaEdges:
