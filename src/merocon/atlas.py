@@ -21,9 +21,10 @@
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import asdict, dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -247,31 +248,20 @@ def _classify_dicritical(field: HomogeneousField) -> AtlasReport:
     return _finish(field, AtlasLabel("INF"), L)
 
 
-def _frame_to(
-    targets: Sequence[np.ndarray],
-) -> np.ndarray:
-    """Matrix sending v1 -> e1, v2 -> e2 (2 reps) scaled per position."""
-    M = np.column_stack(targets)
-    return np.linalg.inv(M)
-
-
 def _classify_three(field: HomogeneousField, dirs: list[CharDirection]) -> AtlasReport:
-    nondeg = [d for d in dirs if not d.degenerate]
-    n = len(nondeg)
-    if n == 1:
-        label_name = "C3100"
-        orderings = _orderings_c3100(dirs)
-    elif n == 2:
-        label_name = "C3rho10"
-        orderings = _orderings_c3rho10(dirs)
-    elif n == 3:
-        label_name = "C3rhotau1"
-        orderings = _orderings_c3rhotau1(dirs)
-    else:
+    n = sum(not d.degenerate for d in dirs)
+    if n == 0:
         raise AtlasClassificationError("three-direction field with no invariant line")
+    label_name = ("C3100", "C3rho10", "C3rhotau1")[n - 1]
     last: Optional[AtlasClassificationError] = None
-    for d_10, d_11, d_01 in orderings:
-        L0 = _frame_to([_rep(d_10), _rep(d_01)])
+    for d_10, d_11, d_01 in itertools.permutations(
+        sorted(dirs, key=lambda d: _lex_key(d.residue))
+    ):
+        # the templates' [1:0] is non-degenerate, and their [1:1] is
+        # degenerate whenever some direction is
+        if d_10.degenerate or (n < 3 and not d_11.degenerate):
+            continue
+        L0 = np.linalg.inv(np.column_stack([_rep(d_10), _rep(d_01)]))
         alpha, beta = L0 @ _rep(d_11)
         if alpha == 0 or beta == 0:
             continue
@@ -297,39 +287,6 @@ def _classify_three(field: HomogeneousField, dirs: list[CharDirection]) -> Atlas
     raise last or AtlasClassificationError("no admissible direction ordering")
 
 
-def _orderings_c3100(dirs):
-    nd = [d for d in dirs if not d.degenerate]
-    deg = sorted(
-        (d for d in dirs if d.degenerate), key=lambda d: _lex_key(d.residue)
-    )
-    orders = [(nd[0], deg[0], deg[1]), (nd[0], deg[1], deg[0])]
-    return orders
-
-
-def _orderings_c3rho10(dirs):
-    nd = sorted(
-        (d for d in dirs if not d.degenerate), key=lambda d: _lex_key(d.residue)
-    )
-    deg = [d for d in dirs if d.degenerate]
-    return [
-        (nd[0], deg[0], nd[1]),
-        (nd[1], deg[0], nd[0]),
-    ]
-
-
-def _orderings_c3rhotau1(dirs):
-    nd = sorted(dirs, key=lambda d: _lex_key(d.residue))
-    a, b, c = nd
-    return [
-        (a, b, c),
-        (a, c, b),
-        (b, a, c),
-        (b, c, a),
-        (c, a, b),
-        (c, b, a),
-    ]
-
-
 def _scale_match(
     got: HomogeneousField, target: HomogeneousField
 ) -> Optional[complex]:
@@ -347,8 +304,8 @@ def _classify_two(field: HomogeneousField, dirs: list[CharDirection]) -> AtlasRe
         raise AtlasClassificationError(
             f"two-direction field with orders {(d1.order, d2.order)}"
         )
-    L1 = _frame_to([_rep(d1), _rep(d2)])
-    got = _conj_field(field, np.asarray(L1))
+    L1 = np.linalg.inv(np.column_stack([_rep(d1), _rep(d2)]))
+    got = _conj_field(field, L1)
     a = got.q1[0]
     b = got.q1[1]
     c = got.q2[1]

@@ -12,7 +12,9 @@
 # (_sphere_array, equal to ChartState.sphere bit for bit).  Before the
 # crossing search, integrate asks a Gauss-Bonnet certificate (_cannot_cross)
 # whether the geodesic can cross itself at all, and skips the search when it
-# cannot.
+# cannot.  Winding on P^1 has one primitive (_arg_steps): the arg increments
+# of det(sigma, p) / det(sigma, q) on homogeneous sample coordinates, which
+# both the certificate and a loop's enclosed poles (_enclosed_poles) sum.
 
 from __future__ import annotations
 
@@ -629,9 +631,8 @@ def detect_self_intersections(traj: Trajectory, cd: ConnectionData) -> list[Even
     bucket), followed by a local planar (gnomonic) crossing solve and tangents
     from the exact field at interpolated states.  The external angle is
     measured first; only crossings that pass MIN_CROSSING_ANGLE pay for the
-    enclosed poles, found by winding numbers in a rotated chart that keeps
-    the loop away from infinity.  At most MAX_CROSSINGS candidates, the
-    earliest first, are refined.
+    enclosed poles, found by winding numbers on homogeneous coordinates.  At
+    most MAX_CROSSINGS candidates, the earliest first, are refined.
 
     Crossings with |external angle| below MIN_CROSSING_ANGLE are discarded:
     chords of a tightening spiral cross even when the curve does not, and
@@ -641,6 +642,7 @@ def detect_self_intersections(traj: Trajectory, cd: ConnectionData) -> list[Even
     if len(samples) < 3:
         return []
     sphere = _sphere_array(samples)
+    hom = _homogeneous(samples)
     # the chord solves run on Python floats, far faster than numpy scalars
     pts = sphere.tolist()
     times = [s.t for s in samples]
@@ -655,7 +657,7 @@ def detect_self_intersections(traj: Trajectory, cd: ConnectionData) -> list[Even
         gap = 1.5 * max(times[i + 1] - times[i], times[j + 1] - times[j])
         if any(abs(prev.t1 - t1) < gap and abs(prev.t2 - t2) < gap for prev in events):
             continue
-        ev = _crossing_event(samples, times, sphere, cd, t1, t2, MIN_CROSSING_ANGLE)
+        ev = _crossing_event(samples, times, sphere, hom, cd, t1, t2, MIN_CROSSING_ANGLE)
         if ev is not None:
             events.append(ev)
     _mark_simple(events)
@@ -840,6 +842,7 @@ def _crossing_event(
     samples: Sequence[ChartState],
     times: list[float],
     sphere: np.ndarray,
+    hom: np.ndarray,
     cd: ConnectionData,
     t1: float,
     t2: float,
@@ -859,9 +862,8 @@ def _crossing_event(
     angle = _wrap_angle(cmath.phase(tan1 / tan2))
     if not abs(angle) >= min_angle:
         return None
-    enclosed, res_sum, orient, resolved = _enclosed_poles(
-        sphere[_span(times, t1, t2)], cd
-    )
+    span = _span(times, t1, t2)
+    enclosed, res_sum, orient, resolved = _enclosed_poles(sphere[span], hom[span], cd)
     residual = None
     if res_sum is not None and resolved:
         residual = _gauss_bonnet_residual(angle, res_sum, orient)
@@ -915,6 +917,33 @@ def _sphere_array(samples: Sequence[ChartState]) -> np.ndarray:
     return out
 
 
+def _homogeneous(samples: Sequence[ChartState]) -> np.ndarray:
+    """(n, 2) homogeneous sample coordinates: [1 : zeta] in chart 0, [zeta : 1] at infinity."""
+    z, far = _chart_coords(samples)
+    return np.stack([np.where(far, z, 1), np.where(far, 1, z)], axis=1)
+
+
+def _det(hom: np.ndarray, p: tuple[complex, complex]) -> np.ndarray:
+    """det(sigma, p) for each row sigma of hom."""
+    return hom[:, 0] * p[1] - hom[:, 1] * p[0]
+
+
+def _arg_steps(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
+    """Principal arg increments of a / b from one sample to the next; None
+    when a ratio is not finite or is zero.
+
+    With a = det(sigma, p) and b = det(sigma, q), a / b is sigma's image
+    under the Moebius map that sends p to 0 and q to infinity.  Summed over
+    a closed loop, the increments are 2 pi times its winding around p in the
+    plane where q is infinity.
+    """
+    with np.errstate(all="ignore"):
+        ratio = a / b
+        if not (np.isfinite(ratio).all() and ratio.all()):
+            return None
+        return np.angle(ratio[1:] / ratio[:-1])
+
+
 def _chordal_rows(p: np.ndarray, q) -> np.ndarray:
     """fields.chordal(row, q) for each row of p (or along the last axis), bit
     for bit: Python's x ** 2 is libm pow, which np.float_power calls and which
@@ -925,31 +954,34 @@ def _chordal_rows(p: np.ndarray, q) -> np.ndarray:
 
 
 def _enclosed_poles(
-    loop: np.ndarray, cd: ConnectionData
+    loop: np.ndarray, hom: np.ndarray, cd: ConnectionData
 ) -> tuple[tuple[int, ...], Optional[complex], int, bool]:
-    """Winding numbers of a loop of sphere points around the induced-connection poles.
+    """Winding numbers of a loop around the induced-connection poles.
 
-    Returns (enclosed indices, residue sum over them, loop orientation,
-    resolved flag); orientation is +1 / -1 for a consistently wound simple
-    loop and 0 when the windings are mixed or ill-conditioned.
+    loop holds the loop's sphere points and hom their homogeneous
+    coordinates.  Returns (enclosed indices, residue sum over them, loop
+    orientation, resolved flag); orientation is +1 / -1 for a consistently
+    wound simple loop and 0 when the windings are mixed or ill-conditioned.
     """
     if len(loop) < 3:
         return (), None, 0, False
-    loop = np.vstack([loop, loop[:1]])
     poles = [(k, d) for k, d in enumerate(cd.directions) if abs(d.induced_residue) > 1e-12]
     pole_pts = np.array([d.point.sphere() for _, d in poles]).reshape(-1, 3)
-    a = complex(_plane(_far_point(np.vstack([loop, pole_pts])))[0])
-    plane_loop = _rotated_coords(loop, a)
-    plane_poles = _rotated_coords(pole_pts, a)
-    if plane_loop is None or plane_poles is None:
-        return (), None, 0, False
+    x, y, z = _far_point(np.vstack([loop, pole_pts]))[0].tolist()
+    # the far point as [1 - z : x + iy]; no candidate lies near the north pole
+    hom = np.vstack([hom, hom[:1]])
+    q = _det(hom, (1 - z, complex(x, y)))
     windings: list[tuple[int, int]] = []
-    for (k, _), q in zip(poles, plane_poles.tolist()):
-        w, ok = _winding(plane_loop, q)
-        if not ok:
+    for k, d in poles:
+        steps = _arg_steps(_det(hom, d.point.representative()), q)
+        if steps is None:
             return (), None, 0, False
-        if w != 0:
-            windings.append((k, w))
+        w = float(steps.sum()) / (2 * math.pi)
+        r = round(w)
+        if not abs(w - r) < 0.25:
+            return (), None, 0, False
+        if r != 0:
+            windings.append((k, r))
     if not windings:
         return (), 0j, 0, True
     signs = {1 if w > 0 else -1 for _, w in windings}
@@ -982,40 +1014,6 @@ def _far_point(avoid: np.ndarray) -> np.ndarray:
     nearest = (_FAR_CANDIDATES @ avoid.T).max(axis=1)
     k = int(np.argmin(nearest))
     return _FAR_CANDIDATES[k : k + 1]
-
-
-def _plane(p: np.ndarray) -> np.ndarray:
-    """Chart-0 coordinates of (m, 3) sphere points; the north pole (infinity)
-    stands in as the large finite 1e12.
-    """
-    den = 1 - p[:, 2]
-    north = np.abs(den) < 1e-12
-    den = np.where(north, 1.0, den)
-    return np.where(north, 1e12, p[:, 0] / den) + 1j * np.where(north, 0.0, p[:, 1] / den)
-
-
-def _rotated_coords(p: np.ndarray, a: complex) -> Optional[np.ndarray]:
-    """Chart coordinates of (m, 3) sphere points after the Moebius rotation
-    z -> (conj(a) z + 1) / (a - z) that sends a to infinity; None if any
-    point meets a.
-    """
-    z = _plane(p)
-    den = a - z
-    if (np.abs(den) < 1e-12).any():
-        return None
-    return (a.conjugate() * z + 1) / den
-
-
-def _winding(loop: np.ndarray, q: complex) -> tuple[int, bool]:
-    d = loop - q
-    if not d.all():
-        return 0, False
-    turns = np.angle(d[1:] / d[:-1])
-    turns[turns == -math.pi] = math.pi  # _wrap_angle's range (-pi, pi]
-    w = float(turns.sum()) / (2 * math.pi)
-    r = round(w)
-    ok = abs(w - r) < 0.25 and float(np.abs(d[:-1]).min()) > 1e-9
-    return int(r), ok
 
 
 def _mark_simple(events: list[Event]) -> None:
@@ -1060,8 +1058,9 @@ def loop_multiplier(
         raise ValueError("loop endpoints do not coincide within tolerance")
     chart = s1.chart
     m_measured = _tangent_in_chart(s2, cd, chart) / _tangent_in_chart(s1, cd, chart)
+    loop = samples[_span(times, t1, t2)]
     enclosed, res_sum, orient, _ = _enclosed_poles(
-        _sphere_array(samples[_span(times, t1, t2)]), cd
+        _sphere_array(loop), _homogeneous(loop), cd
     )
     if res_sum is None:
         predicted = complex("nan")
@@ -1116,22 +1115,18 @@ def _cannot_cross(samples: Sequence[ChartState], cd: ConnectionData) -> bool:
             poles.append((0j, 1 + 0j))
     if len(poles) < 2 or len(samples) < 3:
         return True
-    # homogeneous sample coordinates: [1 : zeta] in chart 0, [zeta : 1] at infinity
-    z, far = _chart_coords(samples)
-    s0 = np.where(far, z, 1)
-    s1 = np.where(far, 1, z)
+    hom = _homogeneous(samples)
     limit = 2 * math.pi - CROSSING_ARG_MARGIN
     with np.errstate(all="ignore"):
-        dets = [s0 * p1 - s1 * p0 for p0, p1 in poles]
-        for a, b in itertools.combinations(dets, 2):
-            ratio = a / b
-            if not (np.isfinite(ratio).all() and ratio.all()):
-                return False
-            step = np.angle(ratio[1:] / ratio[:-1])
-            arg = np.cumsum(step)
-            span = max(float(arg.max()), 0.0) - min(float(arg.min()), 0.0)
-            if not span + 2 * float(np.abs(step).max()) < limit:
-                return False
+        dets = [_det(hom, p) for p in poles]
+    for a, b in itertools.combinations(dets, 2):
+        step = _arg_steps(a, b)
+        if step is None:
+            return False
+        arg = np.cumsum(step)
+        span = max(float(arg.max()), 0.0) - min(float(arg.min()), 0.0)
+        if not span + 2 * float(np.abs(step).max()) < limit:
+            return False
     return True
 
 
@@ -1234,8 +1229,9 @@ def _accumulation_test(
     residual = None
     if tan0 and tan1:
         angle = _wrap_angle(cmath.phase(tan1 / tan0))
+        span = _span(times, t_a, t_b)
         enclosed, res_sum, orient, resolved = _enclosed_poles(
-            pts[_span(times, t_a, t_b)], cd
+            pts[span], _homogeneous(samples[span]), cd
         )
         if res_sum is not None and resolved:
             residual = _gauss_bonnet_residual(angle, res_sum, orient)

@@ -29,7 +29,9 @@ from merocon.flow import (
     _chordal_rows,
     _cycle_heuristic,
     _dp_step,
+    _enclosed_poles,
     _hausdorff,
+    _homogeneous,
     _near_returns,
     _rhs3,
     _sphere_array,
@@ -403,6 +405,7 @@ def reference_crossings(traj, cd):
     )
 
     samples = traj.samples
+    hom = _homogeneous(samples)
     pts = [s.sphere() for s in samples]
     times = [s.t for s in samples]
     mids = np.array(
@@ -424,7 +427,7 @@ def reference_crossings(traj, cd):
         gap = 1.5 * max(times[i + 1] - times[i], times[j + 1] - times[j])
         if any(abs(e.t1 - t1) < gap and abs(e.t2 - t2) < gap for e in events):
             continue
-        ev = _crossing_event(samples, times, np.array(pts), cd, t1, t2, 0.0)
+        ev = _crossing_event(samples, times, np.array(pts), hom, cd, t1, t2, 0.0)
         if ev is not None and abs(ev.external_angle) >= MIN_CROSSING_ANGLE:
             events.append(ev)
     _mark_simple(events)
@@ -463,6 +466,29 @@ class TestCrossingSearch:
         events = detect_self_intersections(traj, cd)
         assert len(events) >= 25
         assert events == reference_crossings(traj, cd)
+        # every loop's enclosure is measured, and every simple loop obeys
+        # Gauss-Bonnet
+        assert not [e for e in events if e.enclosed == () and not e.resolved]
+        for e in events:
+            if e.simple:
+                assert e.resolved and e.angle_residual <= 1e-2
+
+
+class TestEnclosure:
+    @pytest.mark.parametrize("radius", [1e-1, 1e-4, 1e-6, 1e-7, 1e-9])
+    @pytest.mark.parametrize("orient", [1, -1])
+    def test_small_circle_encloses_its_direction(self, radius, orient):
+        # a circle in the direction's own chart; on the sphere, 1 - z cancels
+        # near [0:1] and the circle's points crowd together near any pole
+        cd = connection_data(THREE_THIRDS)
+        turns = [cmath.exp(orient * 2j * math.pi * m / 64) for m in range(64)]
+        for k, d in enumerate(cd.directions):
+            samples = [
+                ChartState(d.point.chart, d.point.coord + radius * u, 1.0 + 0j, float(m))
+                for m, u in enumerate(turns)
+            ]
+            got = _enclosed_poles(_sphere_array(samples), _homogeneous(samples), cd)
+            assert got == ((k,), d.induced_residue, orient, True)
 
 
 # the oracles workload's configuration and its C210 template, whose two
