@@ -9,12 +9,14 @@
 # evaluations per step.
 #
 # The omega tests read the samples as one numpy array of sphere points
-# (_sphere_array, equal to ChartState.sphere bit for bit).  Before the
+# (_sphere_array, equal to ChartState.sphere bit for bit), built once per
+# classification with the homogeneous coordinates (_Curve).  Before the
 # crossing search, integrate asks a Gauss-Bonnet certificate (_cannot_cross)
 # whether the geodesic can cross itself at all, and skips the search when it
-# cannot.  Winding on P^1 has one primitive (_arg_steps): the arg increments
-# of det(sigma, p) / det(sigma, q) on homogeneous sample coordinates, which
-# both the certificate and a loop's enclosed poles (_enclosed_poles) sum.
+# cannot.  Winding on P^1 is the sum of the arg increments of
+# det(sigma, p) / det(sigma, q) on homogeneous sample coordinates: the
+# certificate unwraps them pole pair by pole pair, and _Enclosure keeps them
+# as prefix sums, so each crossing's enclosed poles cost O(poles).
 
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -631,37 +634,56 @@ def detect_self_intersections(traj: Trajectory, cd: ConnectionData) -> list[Even
     bucket), followed by a local planar (gnomonic) crossing solve and tangents
     from the exact field at interpolated states.  The external angle is
     measured first; only crossings that pass MIN_CROSSING_ANGLE pay for the
-    enclosed poles, found by winding numbers on homogeneous coordinates.  At
+    enclosed poles, read from the curve's winding table (_Enclosure).  At
     most MAX_CROSSINGS candidates, the earliest first, are refined.
 
     Crossings with |external angle| below MIN_CROSSING_ANGLE are discarded:
     chords of a tightening spiral cross even when the curve does not, and
     genuinely tangential returns are the closed-return detector's business.
     """
-    samples = traj.samples
+    return _crossings(_Curve(traj.samples), cd)
+
+
+def _crossings(curve: _Curve, cd: ConnectionData) -> list[Event]:
+    samples = curve.samples
     if len(samples) < 3:
         return []
-    sphere = _sphere_array(samples)
-    hom = _homogeneous(samples)
     # the chord solves run on Python floats, far faster than numpy scalars
-    pts = sphere.tolist()
+    pts = curve.sphere.tolist()
     times = [s.t for s in samples]
     raw: list[tuple[float, float, int, int]] = []
-    for lo, hi in _reach_pairs(sphere, pts):
+    for lo, hi in _reach_pairs(curve.sphere, pts):
         got = _segment_crossing(pts, samples, lo, hi)
         if got is not None:
             raw.append((got[0], got[1], lo, hi))
     raw.sort()
+    del pts  # the float lists outweigh the enclosure's arrays; free them first
     events: list[Event] = []
+    t1s: list[float] = []  # the events' refined t1, ascending, with their t2 beside
+    t2s: list[float] = []
     for t1, t2, i, j in raw[:MAX_CROSSINGS]:
         gap = 1.5 * max(times[i + 1] - times[i], times[j + 1] - times[j])
-        if any(abs(prev.t1 - t1) < gap and abs(prev.t2 - t2) < gap for prev in events):
+        if _repeats(t1s, t2s, t1, t2, gap):
             continue
-        ev = _crossing_event(samples, times, sphere, hom, cd, t1, t2, MIN_CROSSING_ANGLE)
+        ev = _crossing_event(samples, times, cd, t1, t2, MIN_CROSSING_ANGLE)
         if ev is not None:
             events.append(ev)
+            at = bisect.bisect_right(t1s, ev.t1)
+            t1s.insert(at, ev.t1)
+            t2s.insert(at, ev.t2)
+    spans = [_span(times, ev.t1, ev.t2) for ev in events]
+    loops = _Enclosure(curve.sphere, curve.hom, cd).loops(spans)
+    events = [_enclosing(ev, loop) for ev, loop in zip(events, loops)]
     _mark_simple(events)
     return events
+
+
+def _repeats(t1s: list[float], t2s: list[float], t1: float, t2: float, gap: float) -> bool:
+    """True when a crossing (t1s ascending, t2s beside them) lies within gap
+    of (t1, t2) in both times."""
+    # each such crossing has its t1 within 2 gap of t1, rounding included
+    lo, hi = bisect.bisect_left(t1s, t1 - 2 * gap), bisect.bisect_right(t1s, t1 + 2 * gap)
+    return any(abs(a - t1) < gap and abs(b - t2) < gap for a, b in zip(t1s[lo:hi], t2s[lo:hi]))
 
 
 # odd multipliers that hash a grid cell to one key; the hash is linear modulo
@@ -841,14 +863,14 @@ def _cross(a, b):
 def _crossing_event(
     samples: Sequence[ChartState],
     times: list[float],
-    sphere: np.ndarray,
-    hom: np.ndarray,
     cd: ConnectionData,
     t1: float,
     t2: float,
     min_angle: float,
 ) -> Optional[Event]:
-    """The refined crossing, or None when its external angle is below min_angle."""
+    """The refined crossing, or None when its external angle is below
+    min_angle; _enclosing fills in its loop's fields.
+    """
     t1, t2 = _refine_crossing(samples, times, cd, t1, t2)
     if t2 < t1:
         t1, t2 = t2, t1
@@ -862,22 +884,17 @@ def _crossing_event(
     angle = _wrap_angle(cmath.phase(tan1 / tan2))
     if not abs(angle) >= min_angle:
         return None
-    span = _span(times, t1, t2)
-    enclosed, res_sum, orient, resolved = _enclosed_poles(sphere[span], hom[span], cd)
+    return Event(kind=EV_CROSSING, t=t2, t1=t1, t2=t2, point=s1.point(), external_angle=angle)
+
+
+def _enclosing(ev: Event, loop: tuple) -> Event:
+    """The crossing with its loop's enclosure, as _Enclosure.loops gives it."""
+    enclosed, res_sum, orient, resolved = loop
     residual = None
     if res_sum is not None and resolved:
-        residual = _gauss_bonnet_residual(angle, res_sum, orient)
-    return Event(
-        kind=EV_CROSSING,
-        t=t2,
-        t1=t1,
-        t2=t2,
-        point=s1.point(),
-        external_angle=angle,
-        enclosed=enclosed,
-        residue_sum=res_sum,
-        angle_residual=residual,
-        resolved=resolved,
+        residual = _gauss_bonnet_residual(ev.external_angle, res_sum, orient)
+    return replace(
+        ev, enclosed=enclosed, residue_sum=res_sum, angle_residual=residual, resolved=resolved
     )
 
 
@@ -892,6 +909,15 @@ def _gauss_bonnet_residual(angle: float, res_sum: complex, orient: int) -> float
 def _span(times: list[float], t1: float, t2: float) -> slice:
     """The samples with t1 <= t <= t2 (times ascending)."""
     return slice(bisect.bisect_left(times, t1), bisect.bisect_right(times, t2))
+
+
+@dataclass
+class _Curve:
+    """Samples with their sphere and homogeneous arrays, each built on first use."""
+
+    samples: Sequence[ChartState]
+    sphere = cached_property(lambda self: _sphere_array(self.samples))
+    hom = cached_property(lambda self: _homogeneous(self.samples))
 
 
 def _chart_coords(samples: Sequence[ChartState]) -> tuple[np.ndarray, np.ndarray]:
@@ -928,22 +954,6 @@ def _det(hom: np.ndarray, p: tuple[complex, complex]) -> np.ndarray:
     return hom[:, 0] * p[1] - hom[:, 1] * p[0]
 
 
-def _arg_steps(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
-    """Principal arg increments of a / b from one sample to the next; None
-    when a ratio is not finite or is zero.
-
-    With a = det(sigma, p) and b = det(sigma, q), a / b is sigma's image
-    under the Moebius map that sends p to 0 and q to infinity.  Summed over
-    a closed loop, the increments are 2 pi times its winding around p in the
-    plane where q is infinity.
-    """
-    with np.errstate(all="ignore"):
-        ratio = a / b
-        if not (np.isfinite(ratio).all() and ratio.all()):
-            return None
-        return np.angle(ratio[1:] / ratio[:-1])
-
-
 def _chordal_rows(p: np.ndarray, q) -> np.ndarray:
     """fields.chordal(row, q) for each row of p (or along the last axis), bit
     for bit: Python's x ** 2 is libm pow, which np.float_power calls and which
@@ -953,45 +963,77 @@ def _chordal_rows(p: np.ndarray, q) -> np.ndarray:
     return 0.5 * np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
 
 
-def _enclosed_poles(
-    loop: np.ndarray, hom: np.ndarray, cd: ConnectionData
-) -> tuple[tuple[int, ...], Optional[complex], int, bool]:
-    """Winding numbers of a loop around the induced-connection poles.
+class _Enclosure:
+    """Pole windings of the loops of one sampled curve (sphere points and
+    homogeneous coordinates).
 
-    loop holds the loop's sphere points and hom their homogeneous
-    coordinates.  Returns (enclosed indices, residue sum over them, loop
-    orientation, resolved flag); orientation is +1 / -1 for a consistently
-    wound simple loop and 0 when the windings are mixed or ill-conditioned.
+    A loop's winding about a pole p is the sum of the arg increments of
+    det(sigma, p) / det(sigma, F) over it, over 2 pi, where F, the plane's
+    infinity, is the candidate farthest from the loop and the poles.  Per
+    candidate, the increments are prefix sums over the whole curve, so a
+    loop costs its far point and O(poles): a difference of two prefix sums
+    plus the closing chord.
     """
-    if len(loop) < 3:
-        return (), None, 0, False
-    poles = [(k, d) for k, d in enumerate(cd.directions) if abs(d.induced_residue) > 1e-12]
-    pole_pts = np.array([d.point.sphere() for _, d in poles]).reshape(-1, 3)
-    x, y, z = _far_point(np.vstack([loop, pole_pts]))[0].tolist()
-    # the far point as [1 - z : x + iy]; no candidate lies near the north pole
-    hom = np.vstack([hom, hom[:1]])
-    q = _det(hom, (1 - z, complex(x, y)))
-    windings: list[tuple[int, int]] = []
-    for k, d in poles:
-        steps = _arg_steps(_det(hom, d.point.representative()), q)
-        if steps is None:
-            return (), None, 0, False
-        w = float(steps.sum()) / (2 * math.pi)
-        r = round(w)
-        if not abs(w - r) < 0.25:
-            return (), None, 0, False
-        if r != 0:
-            windings.append((k, r))
-    if not windings:
-        return (), 0j, 0, True
-    signs = {1 if w > 0 else -1 for _, w in windings}
-    if len(signs) > 1 or any(abs(w) > 1 for _, w in windings):
-        total = sum(cd.directions[k].induced_residue * w for k, w in windings)
-        return tuple(k for k, _ in windings), total, 0, False
-    orient = signs.pop()
-    enclosed = tuple(k for k, _ in windings)
-    res_sum = sum(cd.directions[k].induced_residue for k in enclosed)
-    return enclosed, res_sum, orient, True
+
+    def __init__(self, sphere: np.ndarray, hom: np.ndarray, cd: ConnectionData) -> None:
+        self.sphere, self.hom, self.cd = sphere, hom, cd
+        self.poles = [k for k, d in enumerate(cd.directions) if abs(d.induced_residue) > 1e-12]
+        points = [cd.directions[k].point for k in self.poles]
+        self.pole_pts = np.array([p.sphere() for p in points]).reshape(-1, 3)
+        self.dets = np.array([_det(hom, p.representative()) for p in points],
+                             dtype=complex).reshape(len(points), len(hom))
+
+    def loops(self, spans: Sequence[slice]) -> list[tuple]:
+        """Per loop (a span's samples, closed by the chord back to the first):
+        (enclosed indices, residue sum over them, orientation, resolved flag),
+        orientation +1 / -1 for a consistently wound simple loop and 0 when
+        the windings are mixed or ill-conditioned.  Loops are taken by far
+        point, one candidate's prefix sums at a time.
+        """
+        out: list[tuple] = [((), None, 0, False)] * len(spans)
+        by_far: dict[int, list[int]] = {}
+        for m, span in enumerate(spans):
+            if span.stop - span.start >= 3:
+                loop = np.vstack([self.sphere[span], self.pole_pts])
+                # on the unit sphere the nearest point has the largest dot product
+                k = int(np.argmin((_FAR_CANDIDATES @ loop.T).max(axis=1)))
+                by_far.setdefault(k, []).append(m)
+        for k, members in by_far.items():
+            with np.errstate(all="ignore"):
+                ratio = self.dets / _det(self.hom, _FAR_HOM[k])
+                bad = ~(np.isfinite(ratio) & (ratio != 0)).all(axis=0)
+                steps = np.angle(ratio[:, 1:] / ratio[:, :-1])
+                # a loop over a sample with a ratio that is zero or not
+                # finite is refused, so the steps beside it never count
+                steps[:, bad[1:] | bad[:-1]] = 0.0
+                sums = np.zeros(ratio.shape)
+                np.cumsum(steps, axis=1, out=sums[:, 1:])
+                bad_at = np.flatnonzero(bad).tolist()
+                for m in members:
+                    lo, hi = spans[m].start, spans[m].stop
+                    at = bisect.bisect_left(bad_at, lo)
+                    if not (at < len(bad_at) and bad_at[at] < hi):
+                        close = np.angle(ratio[:, lo] / ratio[:, hi - 1])
+                        out[m] = self._windings((sums[:, hi - 1] - sums[:, lo] + close).tolist())
+        return out
+
+    def _windings(self, args: list[float]) -> tuple:
+        windings: list[tuple[int, int]] = []
+        for k, arg in zip(self.poles, args):
+            w = arg / (2 * math.pi)
+            r = round(w)
+            if not abs(w - r) < 0.25:
+                return (), None, 0, False
+            if r != 0:
+                windings.append((k, r))
+        if not windings:
+            return (), 0j, 0, True
+        res = [self.cd.directions[k].induced_residue for k, _ in windings]
+        enclosed = tuple(k for k, _ in windings)
+        signs = {1 if w > 0 else -1 for _, w in windings}
+        if len(signs) > 1 or any(abs(w) > 1 for _, w in windings):
+            return enclosed, sum(r * w for r, (_, w) in zip(res, windings)), 0, False
+        return enclosed, sum(res), signs.pop(), True
 
 
 def _fibonacci_sphere(n: int) -> np.ndarray:
@@ -1006,27 +1048,26 @@ def _fibonacci_sphere(n: int) -> np.ndarray:
 
 
 _FAR_CANDIDATES = _fibonacci_sphere(40)
-
-
-def _far_point(avoid: np.ndarray) -> np.ndarray:
-    """The candidate farthest from all (m, 3) sphere points (first on ties), as (1, 3)."""
-    # on the unit sphere the nearest point is the one of largest dot product
-    nearest = (_FAR_CANDIDATES @ avoid.T).max(axis=1)
-    k = int(np.argmin(nearest))
-    return _FAR_CANDIDATES[k : k + 1]
+# each candidate as [1 - z : x + iy]; none lies near the north pole
+_FAR_HOM = [(1 - z, complex(x, y)) for x, y, z in _FAR_CANDIDATES.tolist()]
 
 
 def _mark_simple(events: list[Event]) -> None:
-    """A crossing is a simple loop when no other crossing nests inside it."""
-    for idx, ev in enumerate(events):
-        simple = True
-        for other in events:
-            if other is ev:
-                continue
-            if ev.t1 < other.t1 and other.t2 < ev.t2:
-                simple = False
-                break
-        events[idx] = replace(ev, simple=simple)
+    """A crossing is a simple loop when no other crossing nests inside it
+    (ev.t1 < t1 and t2 < ev.t2).  One sweep by descending t1 keeps the least
+    t2 of the crossings that start strictly later; equal t1 join it together.
+    """
+    order = sorted(range(len(events)), key=lambda k: events[k].t1, reverse=True)
+    least = math.inf
+    marked = list(events)
+    for _, tied in itertools.groupby(order, key=lambda k: events[k].t1):
+        tied = list(tied)
+        for k in tied:
+            marked[k] = replace(events[k], simple=not least < events[k].t2)
+        for k in tied:
+            if events[k].t2 < least:
+                least = events[k].t2
+    events[:] = marked
 
 
 # ---------------------------------------------------------------------------
@@ -1058,9 +1099,9 @@ def loop_multiplier(
         raise ValueError("loop endpoints do not coincide within tolerance")
     chart = s1.chart
     m_measured = _tangent_in_chart(s2, cd, chart) / _tangent_in_chart(s1, cd, chart)
-    loop = samples[_span(times, t1, t2)]
-    enclosed, res_sum, orient, _ = _enclosed_poles(
-        _sphere_array(loop), _homogeneous(loop), cd
+    loop = _Curve(samples[_span(times, t1, t2)])
+    ((enclosed, res_sum, orient, _),) = _Enclosure(loop.sphere, loop.hom, cd).loops(
+        [slice(0, len(loop.samples))]
     )
     if res_sum is None:
         predicted = complex("nan")
@@ -1079,19 +1120,17 @@ INTERSECTION_THRESHOLD = 25
 
 
 def _classify_into(traj: Trajectory, cd: ConnectionData, cfg: IntegratorConfig) -> None:
-    if _cannot_cross(traj.samples, cd):
-        crossings = []
-    else:
-        crossings = detect_self_intersections(traj, cd)
+    curve = _Curve(traj.samples)
+    crossings = [] if _cannot_cross(curve, cd) else _crossings(curve, cd)
     traj.events.extend(crossings)
     traj.events.sort(key=lambda e: e.t)
-    omega, direction, extra = classify_omega_limit(traj, cd, cfg, crossings)
+    omega, direction, extra = _omega_limit(traj, cd, cfg, crossings, curve)
     traj.omega_class = omega
     traj.omega_direction = direction
     traj.diagnostics.update(extra)
 
 
-def _cannot_cross(samples: Sequence[ChartState], cd: ConnectionData) -> bool:
+def _cannot_cross(curve: _Curve, cd: ConnectionData) -> bool:
     """True when the sampled geodesic has no transversal self-crossing.
 
     The loop of a first crossing is simple.  By Gauss-Bonnet its external
@@ -1113,16 +1152,19 @@ def _cannot_cross(samples: Sequence[ChartState], cd: ConnectionData) -> bool:
         # the model's chart infinity carries the rest of the sum -2
         if not (-2 - sum(res)).real.is_integer():
             poles.append((0j, 1 + 0j))
-    if len(poles) < 2 or len(samples) < 3:
+    if len(poles) < 2 or len(curve.samples) < 3:
         return True
-    hom = _homogeneous(samples)
     limit = 2 * math.pi - CROSSING_ARG_MARGIN
     with np.errstate(all="ignore"):
-        dets = [_det(hom, p) for p in poles]
+        dets = [_det(curve.hom, p) for p in poles]
     for a, b in itertools.combinations(dets, 2):
-        step = _arg_steps(a, b)
-        if step is None:
-            return False
+        # a / b sends p to 0 and q to infinity; a ratio that is zero or not
+        # finite puts a sample on a pole
+        with np.errstate(all="ignore"):
+            ratio = a / b
+            if not (np.isfinite(ratio).all() and ratio.all()):
+                return False
+            step = np.angle(ratio[1:] / ratio[:-1])
         arg = np.cumsum(step)
         span = max(float(arg.max()), 0.0) - min(float(arg.min()), 0.0)
         if not span + 2 * float(np.abs(step).max()) < limit:
@@ -1136,11 +1178,24 @@ def classify_omega_limit(
     cfg: Optional[IntegratorConfig] = None,
     crossings: Optional[list[Event]] = None,
 ) -> tuple[str, Optional[ProjPoint], dict]:
-    """Forward-limit classification from termination events and geometry."""
-    if cfg is None:
-        cfg = IntegratorConfig()
+    """Forward-limit classification from termination events and geometry.
+
+    A two-sided run is classified on its forward half: the samples at
+    t >= 0, the events and crossings inside that half, and its forward stop.
+    """
     if crossings is None:
         crossings = [e for e in traj.events if e.kind == EV_CROSSING]
+    return _omega_limit(traj, cd, cfg or IntegratorConfig(), crossings, _Curve(traj.samples))
+
+
+def _omega_limit(traj: Trajectory, cd: ConnectionData, cfg: IntegratorConfig,
+                 crossings: list[Event], curve: _Curve) -> tuple[str, Optional[ProjPoint], dict]:
+    if "forward_stop" in traj.diagnostics:
+        start = bisect.bisect_left(traj.sample_times(), 0.0)
+        traj = Trajectory(traj.samples[start:], [e for e in traj.events if e.t >= 0], 0.0,
+                          diagnostics={"stop": traj.diagnostics["forward_stop"]})
+        crossings = [e for e in crossings if e.t1 >= 0]
+        curve = _Curve(traj.samples)
     extra: dict = {}
     pole_ev = next((e for e in traj.events if e.kind == EV_POLE), None)
     t_end = traj.samples[-1].t
@@ -1165,12 +1220,11 @@ def classify_omega_limit(
             ]
             extra["simple_loop_residue_sums"] = windows
             return OMEGA_INFINITE, None, extra
-    pts = _sphere_array(traj.samples)
-    acc = _accumulation_test(traj, cd, pts)
+    acc = _accumulation_test(traj, cd, curve)
     if acc is not None:
         extra.update(acc)
         return OMEGA_ACC_CLOSED, None, extra
-    shuttle = _cycle_heuristic(pts, cd, cfg)
+    shuttle = _cycle_heuristic(curve.sphere, cd, cfg)
     if shuttle:
         extra["shuttle_poles"] = shuttle
         return OMEGA_CYCLE, None, extra
@@ -1178,14 +1232,14 @@ def classify_omega_limit(
 
 
 def _accumulation_test(
-    traj: Trajectory, cd: ConnectionData, pts: np.ndarray
+    traj: Trajectory, cd: ConnectionData, curve: _Curve
 ) -> Optional[dict]:
     """Detect late-time convergence to the support of a closed loop.
 
     Uses a section through a late reference point: consecutive near-returns
     cut the tail into loops; the classification asks the loops to converge
-    in Hausdorff distance while the return offsets shrink.  pts holds the
-    samples' sphere points.
+    in Hausdorff distance while the return offsets shrink.  curve holds the
+    samples and their arrays.
     """
     samples = traj.samples
     if traj.diagnostics.get("stop") not in ("t_max", "max_steps"):
@@ -1197,6 +1251,7 @@ def _accumulation_test(
     if ref_idx >= len(samples) - 10:
         return None
     ref = samples[ref_idx].sphere()
+    pts = curve.sphere
     hits = _near_returns(_chordal_rows(pts[ref_idx:], ref))
     if len(hits) < 2:
         return None
@@ -1230,9 +1285,10 @@ def _accumulation_test(
     if tan0 and tan1:
         angle = _wrap_angle(cmath.phase(tan1 / tan0))
         span = _span(times, t_a, t_b)
-        enclosed, res_sum, orient, resolved = _enclosed_poles(
-            pts[span], _homogeneous(samples[span]), cd
-        )
+        loop = pts[span]
+        ((enclosed, res_sum, orient, resolved),) = _Enclosure(
+            loop, curve.hom[span], cd
+        ).loops([slice(0, len(loop))])
         if res_sum is not None and resolved:
             residual = _gauss_bonnet_residual(angle, res_sum, orient)
     return {
@@ -1272,8 +1328,8 @@ def _cycle_heuristic(
 ) -> list[int]:
     """Alternating visits to several pole neighborhoods.
 
-    Every sample counts, the backward half of a two-sided run included; a
-    sample visits the first direction within the radius.
+    pts holds the sphere points of the samples classified; a sample visits
+    the first direction within the radius.
     """
     radius = max(5 * cfg.pole_radius, 0.05)
     poles = [d.point.sphere() for d in cd.directions]

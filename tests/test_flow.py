@@ -1,3 +1,4 @@
+import bisect
 import cmath
 import math
 import random
@@ -23,17 +24,24 @@ from merocon.fields import (
 )
 from merocon.flow import (
     ChartState,
+    Event,
     IntegratorConfig,
     Trajectory,
     _cannot_cross,
     _chordal_rows,
+    _FAR_CANDIDATES,
+    _Curve,
     _cycle_heuristic,
+    _det,
     _dp_step,
-    _enclosed_poles,
+    _Enclosure,
     _hausdorff,
     _homogeneous,
+    _mark_simple,
     _near_returns,
+    _repeats,
     _rhs3,
+    _span,
     _sphere_array,
     batch_sweep,
     chart_transition,
@@ -233,6 +241,18 @@ class TestChartSwitching:
         times = traj.sample_times()
         assert all(_state_at(traj.samples, times, cd, s.t) == s for s in traj.samples)
 
+    @pytest.mark.parametrize("nu", [1, 2, 3])
+    def test_transition_maps_lift_to_lift(self, nu):
+        # the chart-0 lift [w1 : w2] -> (w2/w1, w1^nu) must go to the chart-inf
+        # lift (w1/w2, w2^nu): v -> zeta^nu v, not zeta v, for every nu
+        rng = random.Random(31 + nu)
+        for _ in range(200):
+            w1, w2 = (complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(2))
+            got = chart_transition(ChartState(CHART_ZERO, w2 / w1, w1**nu, 0.0), nu)
+            assert got.chart == CHART_INF
+            assert abs(got.zeta - w1 / w2) <= 1e-12 * abs(w1 / w2)
+            assert abs(got.v - w2**nu) <= 1e-12 * abs(w2**nu)
+
     def test_time_reversal_retrace(self):
         # running the sign-flipped field from the endpoint retraces the path
         cd = connection_data(THREE_THIRDS)
@@ -394,19 +414,23 @@ class TestEvents:
 def reference_crossings(traj, cd):
     """detect_self_intersections with the reach test run on every pair.
 
-    Enclosure runs for every crossing, and the angle filter afterwards.
+    Enclosure runs for every crossing, and the angle filter afterwards.  The
+    dedupe, the per-loop enclosure and the nesting mark are the O(n^2) and
+    O(loop length) code the sorted passes and the winding table replaced.
     """
     from merocon.flow import (
         MAX_CROSSINGS,
         MIN_CROSSING_ANGLE,
         _crossing_event,
-        _mark_simple,
+        _enclosing,
         _segment_crossing,
+        _span,
     )
 
     samples = traj.samples
     hom = _homogeneous(samples)
     pts = [s.sphere() for s in samples]
+    sphere = np.array(pts)
     times = [s.t for s in samples]
     mids = np.array(
         [[0.5 * (a + b) for a, b in zip(p, q)] for p, q in zip(pts, pts[1:])]
@@ -427,11 +451,79 @@ def reference_crossings(traj, cd):
         gap = 1.5 * max(times[i + 1] - times[i], times[j + 1] - times[j])
         if any(abs(e.t1 - t1) < gap and abs(e.t2 - t2) < gap for e in events):
             continue
-        ev = _crossing_event(samples, times, np.array(pts), hom, cd, t1, t2, 0.0)
-        if ev is not None and abs(ev.external_angle) >= MIN_CROSSING_ANGLE:
-            events.append(ev)
-    _mark_simple(events)
+        ev = _crossing_event(samples, times, cd, t1, t2, 0.0)
+        if ev is not None:
+            span = _span(times, ev.t1, ev.t2)
+            ev = _enclosing(ev, ref_enclosed_poles(sphere[span], hom[span], cd))
+            if abs(ev.external_angle) >= MIN_CROSSING_ANGLE:
+                events.append(ev)
+    ref_mark_simple(events)
     return events
+
+
+# the code the winding table and the sorted passes replaced, kept as it was
+
+def ref_arg_steps(a, b):
+    with np.errstate(all="ignore"):
+        ratio = a / b
+        if not (np.isfinite(ratio).all() and ratio.all()):
+            return None
+        return np.angle(ratio[1:] / ratio[:-1])
+
+
+def ref_far_point(avoid):
+    nearest = (_FAR_CANDIDATES @ avoid.T).max(axis=1)
+    k = int(np.argmin(nearest))
+    return _FAR_CANDIDATES[k : k + 1]
+
+
+def ref_enclosed_poles(loop, hom, cd):
+    if len(loop) < 3:
+        return (), None, 0, False
+    poles = [(k, d) for k, d in enumerate(cd.directions) if abs(d.induced_residue) > 1e-12]
+    pole_pts = np.array([d.point.sphere() for _, d in poles]).reshape(-1, 3)
+    x, y, z = ref_far_point(np.vstack([loop, pole_pts]))[0].tolist()
+    hom = np.vstack([hom, hom[:1]])
+    q = _det(hom, (1 - z, complex(x, y)))
+    windings = []
+    for k, d in poles:
+        steps = ref_arg_steps(_det(hom, d.point.representative()), q)
+        if steps is None:
+            return (), None, 0, False
+        w = float(steps.sum()) / (2 * math.pi)
+        r = round(w)
+        if not abs(w - r) < 0.25:
+            return (), None, 0, False
+        if r != 0:
+            windings.append((k, r))
+    if not windings:
+        return (), 0j, 0, True
+    signs = {1 if w > 0 else -1 for _, w in windings}
+    if len(signs) > 1 or any(abs(w) > 1 for _, w in windings):
+        total = sum(cd.directions[k].induced_residue * w for k, w in windings)
+        return tuple(k for k, _ in windings), total, 0, False
+    orient = signs.pop()
+    enclosed = tuple(k for k, _ in windings)
+    res_sum = sum(cd.directions[k].induced_residue for k in enclosed)
+    return enclosed, res_sum, orient, True
+
+
+def ref_mark_simple(events):
+    for idx, ev in enumerate(events):
+        simple = True
+        for other in events:
+            if other is ev:
+                continue
+            if ev.t1 < other.t1 and other.t2 < ev.t2:
+                simple = False
+                break
+        events[idx] = replace(ev, simple=simple)
+
+
+def enclose(samples, cd):
+    """The enclosure of one loop, from a table built on it."""
+    curve = _Curve(samples)
+    return _Enclosure(curve.sphere, curve.hom, cd).loops([slice(0, len(samples))])[0]
 
 
 class TestCrossingSearch:
@@ -487,7 +579,7 @@ class TestEnclosure:
                 ChartState(d.point.chart, d.point.coord + radius * u, 1.0 + 0j, float(m))
                 for m, u in enumerate(turns)
             ]
-            got = _enclosed_poles(_sphere_array(samples), _homogeneous(samples), cd)
+            got = enclose(samples, cd)
             assert got == ((k,), d.induced_residue, orient, True)
 
 
@@ -525,7 +617,7 @@ class TestCrossingCertificate:
         cd, starts, cfg = case
         for init in starts:
             traj = integrate(cd, init, cfg)
-            if _cannot_cross(traj.samples, cd):
+            if _cannot_cross(_Curve(traj.samples), cd):
                 assert detect_self_intersections(traj, cd) == []
 
     def test_figure_one_is_searched(self):
@@ -536,7 +628,7 @@ class TestCrossingCertificate:
             two_sided=True, zeta_escape_radius=4.0, classify=False,
         )
         traj = integrate(cd, ChartState(CHART_ZERO, 1.0, 1.0 + 1.0j, 0.0), cfg)
-        assert not _cannot_cross(traj.samples, cd)
+        assert not _cannot_cross(_Curve(traj.samples), cd)
         assert len(detect_self_intersections(traj, cd)) == 2
 
     def test_c210_crossing_is_searched(self):
@@ -544,7 +636,7 @@ class TestCrossingCertificate:
         cd = connection_data(C210)
         w = (-0.7714245612088115 + 0.4124838927134462j, -0.11038487967975574 - 0.6565027968845698j)
         traj = integrate(cd, lift_nu_polar(w, 1), replace(ORACLE_CFG, classify=False))
-        assert not _cannot_cross(traj.samples, cd)
+        assert not _cannot_cross(_Curve(traj.samples), cd)
         (event,) = detect_self_intersections(traj, cd)
         assert abs(abs(event.external_angle) - 2 * math.pi * 0.35) < 1e-6
         # integrate runs the search on its own
@@ -555,20 +647,90 @@ class TestCrossingCertificate:
     def test_integer_residue_templates_are_cleared(self, name):
         # fewer than two poles count, so not one sample is read
         cd = connection_data(template_field(AtlasLabel(name)))
-        assert _cannot_cross([None] * 10, cd)
+        assert _cannot_cross(_Curve([None] * 10), cd)
         traj = integrate(cd, lift_nu_polar((0.6 + 0.3j, -0.4 + 0.5j), 1), ORACLE_CFG)
         assert not [e for e in traj.events if e.kind == "self_intersection"]
 
     def test_integer_residue_model_is_cleared(self):
         # figure two: Re rho = 0, so neither 0 nor the chart infinity counts
-        assert _cannot_cross([None] * 10, model_connection(1, 1j))
+        assert _cannot_cross(_Curve([None] * 10), model_connection(1, 1j))
 
     def test_unresolved_ratio_runs_the_search(self):
         # a sample on a pole gives a zero ratio, which the certificate refuses
         cd = connection_data(C210)
         samples = [ChartState(CHART_ZERO, z, 1.0, float(k))
                    for k, z in enumerate([0.5, 0.25, 0j, 0.25j])]
-        assert not _cannot_cross(samples, cd)
+        assert not _cannot_cross(_Curve(samples), cd)
+
+
+class TestEnclosureTable:
+    @given(random_geodesics(), st.integers(0, 2**32 - 1))
+    def test_table_matches_per_loop(self, case, seed):
+        # every crossing's loop, and random spans, on integrated geodesics
+        cd, starts, cfg = case
+        rng = random.Random(seed)
+        for init in starts[:2]:
+            traj = integrate(cd, init, cfg)
+            curve = _Curve(traj.samples)
+            times = traj.sample_times()
+            n = len(times)
+            spans = [slice(*sorted(rng.sample(range(n + 1), 2))) for _ in range(12)]
+            spans += [_span(times, e.t1, e.t2) for e in detect_self_intersections(traj, cd)]
+            want = [ref_enclosed_poles(curve.sphere[sp], curve.hom[sp], cd) for sp in spans]
+            assert _Enclosure(curve.sphere, curve.hom, cd).loops(spans) == want
+
+    @pytest.mark.parametrize("odd", ["pole", "zero", "infinity", "nan", "short", "coarse"])
+    def test_synthetic_loops_match_per_loop(self, odd):
+        # a circle around each direction of figure three, with one odd sample,
+        # or with steps of 2 radians, where every step moves the winding
+        cd = connection_data(THREE_THIRDS)
+        turn = 2.0 if odd == "coarse" else 0.1
+        for d in cd.directions:
+            samples = [
+                ChartState(d.point.chart, d.point.coord + 0.3 * cmath.exp(turn * 1j * m), 1.0, float(m))
+                for m in range(63)
+            ]
+            odd_state = {
+                "pole": ChartState(d.point.chart, d.point.coord, 1.0, 0.0),
+                "zero": ChartState(CHART_ZERO, 0j, 1.0, 0.0),
+                "infinity": ChartState(CHART_INF, 0j, 1.0, 0.0),
+                "nan": ChartState(CHART_ZERO, complex("nan"), 1.0, 0.0),
+            }.get(odd)
+            if odd_state is not None:
+                samples[40] = replace(odd_state, t=40.0)
+            curve = _Curve(samples)
+            table = _Enclosure(curve.sphere, curve.hom, cd)
+            spans = [slice(lo, hi) for lo in (0, 20, 39, 40, 41) for hi in (41, 42, 43, 63)]
+            if odd == "short":
+                spans = [slice(0, 0), slice(5, 6), slice(5, 7), slice(62, 63)]
+            want = [ref_enclosed_poles(curve.sphere[sp], curve.hom[sp], cd) for sp in spans]
+            assert table.loops(spans) == want
+            assert ref_enclosed_poles(curve.sphere, curve.hom, cd) == enclose(samples, cd)
+
+    @given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12), st.integers(1, 4)),
+                    max_size=60))
+    def test_sorted_dedupe_matches_all_pairs(self, draws):
+        # coarse times make ties; each candidate is kept unless it repeats one kept
+        kept_ref, t1s, t2s = [], [], []
+        for a, b, g in draws:
+            t1, t2, gap = a / 4, (a + b) / 4, g / 8
+            repeat = any(abs(k1 - t1) < gap and abs(k2 - t2) < gap for k1, k2 in kept_ref)
+            assert _repeats(t1s, t2s, t1, t2, gap) == repeat
+            if not repeat:
+                kept_ref.append((t1, t2))
+                at = bisect.bisect_right(t1s, t1)
+                t1s.insert(at, t1)
+                t2s.insert(at, t2)
+
+    @given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=40))
+    def test_sorted_mark_matches_all_pairs(self, spans):
+        # tied t1 and tied t2, equal loops, and loops in any order
+        events = [Event(kind="self_intersection", t=b, t1=float(a), t2=float(a + b))
+                  for a, b in spans]
+        want = list(events)
+        ref_mark_simple(want)
+        _mark_simple(events)
+        assert events == want
 
 
 # ---------------------------------------------------------------------------
@@ -694,6 +856,23 @@ class TestSphereArrays:
 
 
 class TestOmegaEdges:
+    def test_two_sided_figure_two_accumulates_closed(self):
+        # the forward half of a maximal run is classified as the one-sided run
+        cd = model_connection(1, 1j)
+        cfg = IntegratorConfig(
+            rel_tol=1e-10, abs_tol=1e-14, t_max=1e11, record_stride=0.05,
+            zeta_escape_radius=50.0, max_steps=500_000,
+        )
+        init = ChartState(CHART_ZERO, (1 + 1j) / 2, 1.0, 0.0)
+        one = integrate(cd, init, cfg)
+        two = integrate(cd, init, replace(cfg, two_sided=True))
+        assert two.samples[0].t < 0 < two.samples[-1].t
+        assert one.omega_class == two.omega_class == "accumulates_closed"
+        assert two.diagnostics["late_loop_gb_residual"] <= 1e-2
+        # the forward half is the one-sided run, so its extras agree too
+        for key in ("late_loop_hausdorff", "late_loop_gap", "late_loop_gb_residual"):
+            assert two.diagnostics[key] == one.diagnostics[key]
+
     def test_unlift_inverts_lift(self):
         for nu in (1, 2, 3):
             w = (0.8 + 0.3j, -0.4 + 0.9j)
